@@ -154,7 +154,7 @@ def is_rll(s: BitSeq, r: int) -> bool:
     """True iff no run in s is longer than r."""
     if r < 1:
         raise ValueError(f"run limit must be at least 1 (got r={r})")
-    return max_run_length(s) <= r
+    return b"\x00" * (r + 1) not in s._data and b"\x01" * (r + 1) not in s._data
 
 
 def is_zero_constrained(s: BitSeq, r: int) -> bool:

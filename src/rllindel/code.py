@@ -9,6 +9,10 @@ sequence is shaped by a parameter r_hat:
     a_i = 2^(i-2)              for i in {r_hat+1, r_hat+2}
     a_i = 2^r_hat + i-r_hat-2  for i in [r_hat+3, n+1]
 
+The affine formula already holds at i = r_hat+2, since a_(r_hat+2) = 2^r_hat,
+so every coefficient step a_(i+1) - a_i from i = r_hat+2 on is 1; the decoder
+relies on this.
+
 Strict monotonicity of the coefficients is what makes a single insertion or
 deletion uniquely reversible (see decoder). The encoder embeds a run-length-
 limited message part y of length k behind an m-symbol parity part p chosen so
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, islice
 
 from .bitseq import BitSeq, is_rll, le_encode, max_run_length
 from .errors import DataError, InvariantError, ValidationError
@@ -150,11 +155,7 @@ def mu(cp, z: BitSeq) -> int:
     """Weighted sum of z under the coefficient sequence (exact integer)."""
     if len(z) != cp.n:
         raise DataError(f"word length {len(z)} != n = {cp.n}")
-    total = 0
-    for a, bit in zip(_coefficients(cp.n, cp.r_hat, cp.d), z.tobytes()):
-        if bit:
-            total += a
-    return total
+    return sum(compress(_coefficients(cp.n, cp.r_hat, cp.d), z.tobytes()))
 
 
 def is_codeword(cp, z: BitSeq) -> bool:
@@ -175,10 +176,7 @@ def parity_solve(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
     if p_rhat not in (0, 1) or p_m not in (0, 1):
         raise ValueError("parity symbols must be 0 or 1")
     coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
-    sigma = 0
-    for a, bit in zip(coeffs[cp.m :], y.tobytes()):
-        if bit:
-            sigma += a
+    sigma = sum(compress(islice(coeffs, cp.m, None), y.tobytes()))
     a_m = coeffs[cp.m - 1]
     residue = (cp.b - cp.d * p_rhat - a_m * p_m - sigma) % cp.modulus
     return le_encode(residue, cp.r_hat + 1)

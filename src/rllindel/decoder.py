@@ -1,77 +1,120 @@
 """Single insertion/deletion correction and full pipeline inversion.
 
 Because the coefficient sequence is strictly increasing, the single-deletion
-balls of distinct codewords never intersect, so correcting one indel reduces
-to a candidate search: re-insert (or re-delete) one symbol every possible way,
-keep the candidates that land in the code, and demand that they all collapse
-to one word. Candidate weights are evaluated incrementally from prefix and
-shifted suffix sums, so a full correction costs O(n) instead of O(n^2); the
-semantics are identical to enumerating every candidate word.
+balls of distinct codewords never intersect, so correcting one indel means
+finding the codewords one edit away from the received word and demanding that
+they all collapse to one word. Candidates that are the same word through
+different edits (deleting any symbol of a run, say) collapse silently; the
+code corrects codewords, not edit positions. Two surviving candidates that are
+distinct words would contradict the monotonicity guarantee and raise
+InvariantError.
 
-Candidates that are the same word through different edits (deleting any symbol
-of a run, say) collapse silently; the code corrects codewords, not edit
-positions. Two surviving candidates that are distinct words would contradict
-the monotonicity guarantee and raise InvariantError.
+The search is closed-form rather than a scan of every edit. Sum the received
+word's weight S once at C level and work modulo M = a_(n+1). A codeword one
+edit away differs from S by E = (b - S) mod M for an insertion, or by -E with
+E = (S - b) mod M for a deletion. An edit at (1-based) position i changes the
+weight by the edited symbol's own coefficient a_i, plus, for each 1 after the
+edit, the step a_(j+1) - a_j it crosses when it shifts one place:
+
+* Head, i < r_hat + 2. These r_hat + 1 positions are the only ones whose
+  shifted suffix crosses a step other than 1, so each is tried directly,
+  accumulating the steps from right to left.
+* Affine region, i >= r_hat + 2. Every step there is 1, so the change is the
+  symbol's coefficient plus the number of ones it shifts, exactly as in
+  Varshamov-Tenengolts decoding (Levenshtein 1966). A 0 must sit where the
+  ones to its right number E; a 1 must sit where the zeros to its left
+  number a constant fixed by E and the total count of ones. Each condition
+  picks one run of the received word, found by bisecting on popcounts of the
+  word packed one bit per symbol: O(log n) Python steps, each a shift and a
+  popcount.
+
+The congruence pins the change only modulo M, so each condition is an
+equality once the change's range is known. A removed 1 can weigh anything in
+[0, M], inclusive: removing the last symbol of a word whose final run of ones
+reaches the end removes exactly a_(n+1) = M. So the deletion branch tries
+both E and E + M for a removed 1. An inserted or removed 0 and an inserted 1
+always change the weight by less than M.
+
+A correction costs O(n) C-level work plus O(r_hat + log n) Python steps. The
+plain O(n) scan over every edit lives in oracle.reference_candidates, which
+the tests compare against this search.
 """
 from __future__ import annotations
 
-from .bitseq import BitSeq
+from itertools import compress
+
+from .bitseq import _TO_ASCII, BitSeq
 from .code import CodeParams, _coefficients, is_codeword
 from .errors import DataError, InvariantError, UncorrectableError
 from .front import FrontParams, front_decode
 
 
-def _insertion_candidates(cp, data: bytes) -> set[bytes]:
-    """All codewords obtainable from data (length n-1) by inserting one symbol."""
-    n = cp.n
-    coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
-    # pre[j]: weight of the first j received symbols at their own positions
-    pre = [0] * n
-    acc = 0
-    for j in range(1, n):
-        if data[j - 1]:
-            acc += coeffs[j - 1]
-        pre[j] = acc
-    # suf[i]: weight of received symbols i.. shifted one position right
-    suf = [0] * (n + 2)
-    acc = 0
-    for t in range(n - 1, 0, -1):
-        if data[t - 1]:
-            acc += coeffs[t]
-        suf[t] = acc
-    out: set[bytes] = set()
-    b, modulus = cp.b, cp.modulus
-    for i in range(1, n + 1):
-        base = pre[i - 1] + suf[i]
-        if base % modulus == b:
-            out.add(data[: i - 1] + b"\x00" + data[i - 1 :])
-        if (base + coeffs[i - 1]) % modulus == b:
-            out.add(data[: i - 1] + b"\x01" + data[i - 1 :])
-    return out
+def _count_before(packed: int, length: int, symbol: int, j: int) -> int:
+    """data[:j].count(symbol), where bit length-1-i of packed holds data[i]."""
+    ones = (packed >> (length - j)).bit_count()
+    return ones if symbol else j - ones
 
 
-def _deletion_candidates(cp, data: bytes) -> set[bytes]:
-    """All codewords obtainable from data (length n+1) by deleting one symbol."""
-    n = cp.n
+def _first(packed: int, length: int, symbol: int, target: int, lo: int, hi: int) -> int:
+    """Smallest j in [lo, hi] with data[:j].count(symbol) == target, or -1."""
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if _count_before(packed, length, symbol, mid) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if _count_before(packed, length, symbol, lo) == target else -1
+
+
+def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
+    """All codewords one insertion or deletion away from data (length n-1 or n+1)."""
     coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
-    pre = [0] * (n + 2)
-    acc = 0
-    for j in range(1, n + 1):
-        if data[j - 1]:
-            acc += coeffs[j - 1]
-        pre[j] = acc
-    # suf[j]: weight of received symbols j..n+1 shifted one position left
-    suf = [0] * (n + 3)
-    acc = 0
-    for t in range(n + 1, 1, -1):
-        if data[t - 1]:
-            acc += coeffs[t - 2]
-        suf[t] = acc
+    modulus = cp.modulus
+    length = len(data)
+    weight = sum(compress(coeffs, data))
+    # one bit per symbol: a shift and a popcount then count the ones of any
+    # prefix without a data-dependent branch per symbol
+    packed = int(data.translate(_TO_ASCII), 2)
+    ones = packed.bit_count()
+    # 0-based index lo is position r_hat + 2; from there on coeffs[p] = base + p
+    lo = cp.r_hat + 1
+    base = coeffs[lo] - lo
     out: set[bytes] = set()
-    b, modulus = cp.b, cp.modulus
-    for i in range(1, n + 2):
-        if (pre[i - 1] + suf[i + 1]) % modulus == b:
-            out.add(data[: i - 1] + data[i:])
+    if length == cp.n - 1:
+        added = (cp.b - weight) % modulus
+        # shift: weight gained by the symbols from index p on moving one place right
+        shift = ones - _count_before(packed, length, 1, lo)
+        for p in range(lo - 1, -1, -1):
+            shift += (coeffs[p + 1] - coeffs[p]) * data[p]
+            if shift % modulus == added:
+                out.add(data[:p] + b"\x00" + data[p:])
+            if (shift + coeffs[p]) % modulus == added:
+                out.add(data[:p] + b"\x01" + data[p:])
+        # a 0 inserted at p gains the ones right of it
+        p = _first(packed, length, 1, ones - added, lo, length)
+        if p >= 0:
+            out.add(data[:p] + b"\x00" + data[p:])
+        # a 1 inserted at p gains base + p plus the ones right of it
+        p = _first(packed, length, 0, added - base - ones, lo, length)
+        if p >= 0:
+            out.add(data[:p] + b"\x01" + data[p:])
+    else:
+        removed = (weight - cp.b) % modulus
+        # shift: weight lost by the symbols after index p moving one place left
+        shift = ones - _count_before(packed, length, 1, lo + 1)
+        for p in range(lo - 1, -1, -1):
+            shift += (coeffs[p + 1] - coeffs[p]) * data[p + 1]
+            if (shift + coeffs[p] * data[p]) % modulus == removed:
+                out.add(data[:p] + data[p + 1 :])
+        # a 0 removed at p loses the ones right of it
+        p = _first(packed, length, 1, ones - removed, lo, length - 1)
+        if p >= 0 and not data[p]:
+            out.add(data[:p] + data[p + 1 :])
+        # a 1 removed at p loses base + p plus the ones right of it, a value in [0, M]
+        for lost in (removed, removed + modulus):
+            p = _first(packed, length, 0, lost - base + 1 - ones, lo, length - 1)
+            if p >= 0 and data[p]:
+                out.add(data[:p] + data[p + 1 :])
     return out
 
 
@@ -84,22 +127,19 @@ def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
         raise UncorrectableError(
             "received word has full length but is not a codeword"
         )
-    if length == cp.n - 1:
-        candidates = _insertion_candidates(cp, received.tobytes())
-    elif length == cp.n + 1:
-        candidates = _deletion_candidates(cp, received.tobytes())
-    else:
+    if length not in (cp.n - 1, cp.n + 1):
         raise DataError(
             f"received length {length} is not within one symbol of n = {cp.n}"
         )
-    if not candidates:
+    found = candidates(cp, received.tobytes())
+    if not found:
         raise UncorrectableError("no candidate codeword explains the received word")
-    if len(candidates) > 1:
+    if len(found) > 1:
         raise InvariantError(
-            f"{len(candidates)} distinct candidate codewords survive; the "
+            f"{len(found)} distinct candidate codewords survive; the "
             f"coefficient sequence cannot be strictly increasing"
         )
-    return BitSeq._wrap(candidates.pop())
+    return BitSeq._wrap(found.pop())
 
 
 def decode_message(cp: CodeParams, received: BitSeq) -> BitSeq:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitseq import BitSeq, le_encode, max_zero_run
+from .bitseq import BitSeq, le_encode
 from .errors import DataError, InvariantError, ValidationError
 
 _FORBIDDEN_ONE = b"\x01"
@@ -101,7 +101,7 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
 
 
 def _wi_decode(data: bytes, k: int, r: int) -> bytes:
-    if max_zero_run(BitSeq._wrap(data)) > r - 1:
+    if b"\x00" * r in data:
         raise DataError(f"word violates the zero-run constraint for r={r}")
     block = b"\x01" * (r - 1) + b"\x00"
     i = len(data)
@@ -153,23 +153,27 @@ def wi_decode(x: BitSeq, fp: FrontParams) -> BitSeq:
 
 
 def nrzi_encode(x: BitSeq) -> BitSeq:
-    """Transition coding: y_1 = x_1, y_i = y_(i-1) xor x_i."""
-    out = bytearray()
-    prev = 0
-    for b in x.tobytes():
-        prev ^= b
-        out.append(prev)
-    return BitSeq._wrap(bytes(out))
+    """Transition coding: y_1 = x_1, y_i = y_(i-1) xor x_i.
+
+    A prefix XOR over the word packed one symbol per byte: after the shifts by
+    1, 2, 4, ... bytes, byte i holds the XOR of bytes 0..i.
+    """
+    size = len(x)
+    v = int.from_bytes(x.tobytes(), "little")
+    shift = 8
+    while shift < 8 * size:
+        v ^= v << shift
+        shift <<= 1
+    mask = (1 << 8 * size) - 1
+    return BitSeq._wrap((v & mask).to_bytes(size, "little"))
 
 
 def nrzi_decode(y: BitSeq) -> BitSeq:
     """Inverse transition coding: x_1 = y_1, x_i = y_(i-1) xor y_i."""
-    out = bytearray()
-    prev = 0
-    for b in y.tobytes():
-        out.append(prev ^ b)
-        prev = b
-    return BitSeq._wrap(bytes(out))
+    size = len(y)
+    v = int.from_bytes(y.tobytes(), "little")
+    mask = (1 << 8 * size) - 1
+    return BitSeq._wrap(((v ^ (v << 8)) & mask).to_bytes(size, "little"))
 
 
 def front_encode(u: BitSeq, fp: FrontParams) -> BitSeq:

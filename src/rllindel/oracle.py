@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import add, mul
 
 from .bitseq import BitSeq, is_rll, is_zero_constrained
 from .channel import Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
     CodeParams,
+    _coefficients,
     d_range,
     derive_params,
     embed_encode,
@@ -93,8 +96,6 @@ def enumerate_codewords(params) -> list[BitSeq]:
     n = params.n
     if n > _ENUM_CAP:
         raise ValueError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
-    from .code import _coefficients
-
     coeffs = _coefficients(n, params.r_hat, params.d)
     weights = [coeffs[n - 1 - j] for j in range(n)]
     b, modulus = params.b, params.modulus
@@ -108,6 +109,38 @@ def enumerate_codewords(params) -> list[BitSeq]:
             rest ^= low
         if total % modulus == b:
             out.append(BitSeq._wrap(bytes((mask >> (n - 1 - i)) & 1 for i in range(n))))
+    return out
+
+
+def reference_candidates(cp, data: bytes) -> set[bytes]:
+    """All codewords one insertion or deletion away from data, by scanning every edit.
+
+    data has length n-1 (a symbol was lost: try inserting 0 and 1 before each
+    index) or n+1 (a symbol was gained: try deleting each one). A candidate's
+    weight is the prefix before the edit at its own coefficients, plus the
+    inserted symbol, plus the suffix after the edit at coefficients shifted one
+    place, so the scan is O(n). This is the reference that
+    decoder.candidates is tested against.
+    """
+    coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
+    length = len(data)
+    grow = length < cp.n
+    # pre[p]: weight of data[:p] in place
+    pre = [0, *accumulate(map(mul, coeffs, data))]
+    # rest[p]: weight of data[p:] moved one place right (grow) or left
+    moved = coeffs[1:] if grow else (0, *coeffs)
+    rest = [*accumulate(map(mul, moved[length - 1 :: -1], data[::-1]))][::-1] + [0]
+    out: set[bytes] = set()
+    if grow:
+        for p, weight in enumerate(map(add, pre, rest)):
+            if weight % cp.modulus == cp.b:
+                out.add(data[:p] + b"\x00" + data[p:])
+            if (weight + coeffs[p]) % cp.modulus == cp.b:
+                out.add(data[:p] + b"\x01" + data[p:])
+    else:
+        for p, weight in enumerate(map(add, pre, rest[1:])):
+            if weight % cp.modulus == cp.b:
+                out.add(data[:p] + data[p + 1 :])
     return out
 
 

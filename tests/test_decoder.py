@@ -1,14 +1,18 @@
 """Single-indel correction and full message decoding."""
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rllindel.bitseq import BitSeq
 from rllindel.channel import DELETION, INSERTION, ChannelEvent, apply_event, random_event
-from rllindel.code import derive_params, embed_encode, encode_message
-from rllindel.decoder import correct, decode_message
+from rllindel.code import d_range, derive_params, embed_encode, encode_message
+from rllindel.decoder import candidates, correct, decode_message
 from rllindel.errors import DataError, UncorrectableError
 from rllindel.front import FrontParams, front_encode
+from rllindel.oracle import enumerate_codewords, reference_candidates
 
 CP = derive_params(13, 4, d=6, b=9)
 FP = FrontParams(13, 4)
@@ -71,3 +75,80 @@ class TestDecodeMessage:
         z = encode_message(u, 13, 4, d=6, b=9)
         event = random_event(len(z), seed)
         assert decode_message(CP, apply_event(z, event)) == u
+
+
+# (k, r) pairs spanning r_hat = 4 .. 12, each with the smallest usable run limit
+SIZES = [(7, 4), (13, 4), (60, 6), (250, 8), (1000, 10), (4000, 12)]
+
+
+def _random_params(k, r, rng):
+    base = derive_params(k, r)
+    d_lo, d_hi = d_range(base.r_hat)
+    return derive_params(k, r, d=rng.randint(d_lo, d_hi), b=rng.randrange(base.modulus))
+
+
+def _one_indel_away(z):
+    """Every distinct word one deletion or one insertion away from the word z."""
+    words = {z[:i] + z[i + 1 :] for i in range(len(z))}
+    return words | {z[:i] + s + z[i:] for i in range(len(z) + 1) for s in (b"\x00", b"\x01")}
+
+
+def _check_against_reference(cp, data):
+    """correct and its candidate set agree with the reference scan on one word."""
+    found = reference_candidates(cp, data)
+    assert candidates(cp, data) == found
+    # the single-deletion balls of distinct codewords are disjoint
+    assert len(found) <= 1
+    received = BitSeq(data)
+    if found:
+        assert correct(cp, received) == BitSeq(found.pop())
+    else:
+        with pytest.raises(UncorrectableError, match="no candidate"):
+            correct(cp, received)
+
+
+class TestLocatorMatchesReference:
+    @pytest.mark.parametrize("k, r", SIZES)
+    def test_every_single_indel_of_sampled_codewords(self, k, r):
+        rng = random.Random(k)
+        for _ in range(max(1, 60 // k)):
+            cp = _random_params(k, r, rng)
+            u = BitSeq([rng.getrandbits(1) for _ in range(k - 1)])
+            z = encode_message(u, k, r, d=cp.d, b=cp.b).tobytes()
+            for data in _one_indel_away(z):
+                assert candidates(cp, data) == reference_candidates(cp, data) == {z}
+                assert correct(cp, BitSeq(data)) == BitSeq(z)
+
+    @pytest.mark.parametrize("p_one", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("k, r", SIZES)
+    def test_random_words(self, k, r, p_one):
+        # mostly out of model: most such words are no single indel away from any codeword
+        rng = random.Random(f"{k} {p_one}")
+        for _ in range(max(10, 2000 // k)):
+            cp = _random_params(k, r, rng)
+            for length in (cp.n - 1, cp.n + 1):
+                data = bytes(rng.random() < p_one for _ in range(length))
+                _check_against_reference(cp, data)
+
+    @pytest.mark.parametrize("b", [0, 4, 24])
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_all_words_one_symbol_off_at_k7(self, d, b):
+        cp = derive_params(7, 4, d=d, b=b)
+        # brute force: the deletion and insertion balls of every codeword
+        explains: dict[bytes, set[bytes]] = {}
+        for z in enumerate_codewords(cp):
+            for data in _one_indel_away(z.tobytes()):
+                explains.setdefault(data, set()).add(z.tobytes())
+        for length in (cp.n - 1, cp.n + 1):
+            for word in product((0, 1), repeat=length):
+                data = bytes(word)
+                found = reference_candidates(cp, data)
+                assert found == explains.get(data, set())
+                assert candidates(cp, data) == found
+
+    def test_removed_weight_can_equal_the_modulus(self):
+        # removing the final 1 of a trailing run of ones removes a_(n+1) = M,
+        # which the congruence sees as 0
+        assert correct(derive_params(7, 4), BitSeq("0" * 14 + "1")) == BitSeq("0" * 14)
+        cp = derive_params(7, 4, d=7, b=4)
+        assert correct(cp, BitSeq("000000001111111")) == BitSeq("00000000111111")

@@ -136,6 +136,15 @@ class TestNrzi:
         assert nrzi_decode(nrzi_encode(s)) == s
         assert nrzi_encode(nrzi_decode(s)) == s
 
+    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=300))
+    def test_matches_running_xor(self, raw):
+        # lengths past 256 take the packed prefix XOR through nine doublings
+        running = [raw[0]] if raw else []
+        for bit in raw[1:]:
+            running.append(running[-1] ^ bit)
+        assert nrzi_encode(BitSeq(raw)) == BitSeq(running)
+        assert nrzi_decode(BitSeq(running)) == BitSeq(raw)
+
 
 class TestPipeline:
     def test_all_ones_alternates(self):
