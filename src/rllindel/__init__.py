@@ -7,154 +7,31 @@ short parity so the codeword's weighted sum hits a fixed residue, which is
 what makes one insertion or deletion uniquely reversible. The decoder walks
 the layers backward, correcting the indel first.
 
-Brute-force oracles (`oracle`) and redundancy analysis (`analysis`) verify
-the construction at desk scale; `cli` exposes everything as a command-line
-tool.
+The package namespace holds the codec itself. Brute-force oracles
+(`oracle`), redundancy analysis (`analysis`), the seeded channel (`channel`)
+and the per-layer functions are imported from their modules; `cli` exposes
+everything as a command-line tool.
 """
-from .analysis import (
-    AnalysisRow,
-    GapReport,
-    emit_csv,
-    forbidden_parities,
-    g_bound,
-    gap_condition_check,
-    h_bound,
-    phi,
-    psi,
-    redundancy_row,
-    rho,
-)
-from .bitseq import (
-    BitSeq,
-    is_rll,
-    is_zero_constrained,
-    le_decode,
-    le_encode,
-    max_run_length,
-    max_zero_run,
-)
-from .channel import (
-    DELETION,
-    INSERTION,
-    ChannelEvent,
-    Stream,
-    apply_event,
-    log_line,
-    mix64,
-    random_event,
-    trial_seed,
-)
-from .code import (
-    CodeParams,
-    CongruenceParams,
-    coefficient,
-    coefficient_value,
-    d_range,
-    derive_params,
-    embed_encode,
-    encode_message,
-    is_codeword,
-    mu,
-    params_text,
-    parity_solve,
-    parity_word,
-    raw_params,
-)
+from .bitseq import BitSeq
+from .code import CodeParams, derive_params, encode_message
 from .decoder import correct, decode_message
-from .errors import (
-    CodecError,
-    DataError,
-    InvariantError,
-    UncorrectableError,
-    ValidationError,
-)
-from .front import (
-    FrontParams,
-    front_decode,
-    front_encode,
-    nrzi_decode,
-    nrzi_encode,
-    omega,
-    wi_decode,
-    wi_encode,
-)
-from .oracle import (
-    Report,
-    check_channel_campaign,
-    check_encoder_rll,
-    check_front_roundtrip,
-    check_sidc,
-    deletion_balls_disjoint,
-    enumerate_codewords,
-    enumerate_rll,
-)
+from .errors import CodecError, DataError, InvariantError, UncorrectableError, ValidationError
+from .front import FrontParams
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisRow",
     "BitSeq",
-    "ChannelEvent",
     "CodeParams",
     "CodecError",
-    "CongruenceParams",
     "DataError",
-    "DELETION",
     "FrontParams",
-    "GapReport",
-    "INSERTION",
     "InvariantError",
-    "Report",
-    "Stream",
     "UncorrectableError",
     "ValidationError",
-    "apply_event",
-    "check_channel_campaign",
-    "check_encoder_rll",
-    "check_front_roundtrip",
-    "check_sidc",
-    "coefficient",
-    "coefficient_value",
     "correct",
-    "d_range",
     "decode_message",
-    "deletion_balls_disjoint",
     "derive_params",
-    "embed_encode",
-    "emit_csv",
     "encode_message",
-    "enumerate_codewords",
-    "enumerate_rll",
-    "forbidden_parities",
-    "front_decode",
-    "front_encode",
-    "g_bound",
-    "gap_condition_check",
-    "h_bound",
-    "is_codeword",
-    "is_rll",
-    "is_zero_constrained",
-    "le_decode",
-    "le_encode",
-    "log_line",
-    "max_run_length",
-    "max_zero_run",
-    "mix64",
-    "mu",
-    "nrzi_decode",
-    "nrzi_encode",
-    "omega",
-    "params_text",
-    "parity_solve",
-    "parity_word",
-    "phi",
-    "psi",
-    "random_event",
-    "raw_params",
-    "redundancy_row",
-    "rho",
-    "trial_seed",
-    "wi_decode",
-    "wi_encode",
     "__version__",
 ]

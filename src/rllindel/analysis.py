@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitseq import BitSeq, max_run_length
-from .code import coefficient_value, d_range
+from .bitseq import BitSeq, is_rll
+from .code import CodeParams, coefficient_value, d_range
 from .errors import DataError, InvariantError
+from .front import feasibility_bound
 
 _LN2 = math.log(2)
 
@@ -37,7 +38,7 @@ def h_bound(r: int) -> int:
     """Largest message-part length the replacement front-end can feed the embedder."""
     if r < 3:
         raise ValueError(f"run limit must be at least 3 (got r={r})")
-    return (1 << r) + r - 5
+    return feasibility_bound(r)
 
 
 def phi(n: float) -> float:
@@ -86,11 +87,11 @@ def redundancy_row(n: int) -> AnalysisRow:
     return AnalysisRow(n=n, r_hat=r_hat, redundancy=r_hat + 4, phi=bound, gap=r_hat + 4 - bound)
 
 
-def rho(r_hat: int, d: int, p: BitSeq) -> int:
+def rho(r_hat: int, p: BitSeq) -> int:
     """Weighted sum of a parity word over all positions except the solved one.
 
-    The weight at the solved index is excluded, so the result never depends
-    on d; d is accepted so callers can keep one coefficient signature.
+    The solved index r_hat is the only one weighted by d, so the result never
+    depends on d.
     """
     m = r_hat + 3
     if len(p) != m:
@@ -98,7 +99,7 @@ def rho(r_hat: int, d: int, p: BitSeq) -> int:
     total = 0
     for i in range(1, m):
         if i != r_hat and p[i - 1]:
-            total += coefficient_value(i, r_hat, d)
+            total += coefficient_value(i, r_hat, 0)
     return total
 
 
@@ -118,7 +119,7 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
         if mask & 1 != last_symbol:
             continue
         word = BitSeq._wrap(bytes((mask >> (m - 1 - i)) & 1 for i in range(m)))
-        if max_run_length(word) >= r_hat + 1:
+        if not is_rll(word, r_hat):
             out.append(word)
     return out
 
@@ -223,12 +224,15 @@ def gap_condition_check(r_hat: int) -> GapReport:
         first_pass = [p for p in words if p[r_hat - 1] == 0]
         fallback = [p for p in words if p[r_hat - 1] == 1]
         for p1 in fallback:
-            rho1 = rho(r_hat, d_lo, p1)
+            rho1 = rho(r_hat, p1)
             for p0 in first_pass:
-                diffs.add(rho1 - rho(r_hat, d_lo, p0))
+                diffs.add(rho1 - rho(r_hat, p0))
+    # a_(n+1) does not depend on d at encoder lengths
+    moduli = {
+        k: CodeParams.unchecked(k, r_hat, r_hat, d_lo, 0).modulus for k in range(k_lo, k_hi + 1)
+    }
     hits = set()
-    for k in range(k_lo, k_hi + 1):
-        modulus = (1 << r_hat) + k + 2
+    for k, modulus in moduli.items():
         for d in range(d_lo, d_hi + 1):
             for diff in diffs:
                 a_value = diff + d
@@ -245,7 +249,7 @@ def gap_condition_check(r_hat: int) -> GapReport:
         c1=c1,
         c2=c2,
         c3=c3,
-        d_interval=(3 * (1 << (r_hat - 1)) + 1, 1 << (r_hat + 1)),
+        d_interval=(moduli[k_lo], moduli[k_hi]),
         disjoint=not collisions,
         collisions=collisions,
     )

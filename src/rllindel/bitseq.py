@@ -161,7 +161,7 @@ def is_zero_constrained(s: BitSeq, r: int) -> bool:
     """True iff every run of zeros in s is shorter than r (ones unconstrained)."""
     if r < 2:
         raise ValueError(f"run limit must be at least 2 (got r={r})")
-    return max_zero_run(s) <= r - 1
+    return b"\x00" * r not in s._data
 
 
 def le_encode(x: int, k: int) -> BitSeq:

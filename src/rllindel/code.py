@@ -22,6 +22,12 @@ a single little-endian solve always produces a fitting parity. Position m is
 a separator fixed to the complement of y_1; if the first parity draft carries
 a run longer than r, flipping position r_hat and re-solving repairs it for
 every valid parameter set except the excluded triple (k, r, d) = (14, 4, 5).
+
+One CodeParams type describes every code. Its unchecked constructor is the
+only place that derives m = r_hat + 3, n = m + k and the modulus a_(n+1),
+taken from the coefficient formula itself, so it also holds at the short
+lengths the enumeration oracles probe. derive_params and raw_params validate
+their inputs and then call it.
 """
 from __future__ import annotations
 
@@ -29,18 +35,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 
-from .bitseq import BitSeq, is_rll, le_encode, max_run_length
+from .bitseq import BitSeq, is_rll, le_encode
 from .errors import DataError, InvariantError, ValidationError
-from .front import FrontParams, front_encode
+from .front import FrontParams, feasibility_bound, front_encode
 
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Validated parameter bundle for one code instance.
+    """Parameter bundle for one code instance.
 
-    Construct through derive_params, which enforces every constraint; building
-    instances directly skips validation and is reserved for oracle runs that
-    deliberately probe excluded parameter sets.
+    derive_params validates (k, r, d, b) for the embedding encoder and
+    raw_params validates a bare (n, r_hat, d, b) code definition; both build
+    the bundle through unchecked, the one place that derives m, n and the
+    modulus. Calling unchecked directly skips validation and is reserved for
+    oracle runs that deliberately probe excluded parameter sets.
     """
 
     k: int
@@ -52,19 +60,12 @@ class CodeParams:
     n: int
     modulus: int
 
-
-@dataclass(frozen=True)
-class CongruenceParams:
-    """Definition-level bundle (n, r_hat, d, b) with no embedding encoder attached.
-
-    Lets the oracles enumerate codes at lengths below the encoder's minimum.
-    """
-
-    n: int
-    r_hat: int
-    d: int
-    b: int
-    modulus: int
+    @classmethod
+    def unchecked(cls, k: int, r_hat: int, r: int, d: int, b: int) -> "CodeParams":
+        """Build the bundle with m = r_hat + 3, n = m + k and modulus a_(n+1), unvalidated."""
+        m = r_hat + 3
+        n = m + k
+        return cls(k, r_hat, r, d, b, m, n, coefficient_value(n + 1, r_hat, d))
 
 
 def d_range(r_hat: int) -> tuple[int, int]:
@@ -72,23 +73,34 @@ def d_range(r_hat: int) -> tuple[int, int]:
     return (1 << (r_hat - 2)) + 1, (1 << (r_hat - 1)) - 1
 
 
+def _check_d(d: int, r_hat: int) -> None:
+    d_lo, d_hi = d_range(r_hat)
+    if not d_lo <= d <= d_hi:
+        raise ValidationError(
+            f"free coefficient d={d} is outside [{d_lo}, {d_hi}] for r_hat={r_hat}"
+        )
+
+
+def _check_b(cp: CodeParams) -> CodeParams:
+    if not 0 <= cp.b < cp.modulus:
+        raise ValidationError(f"residue b={cp.b} is outside [0, {cp.modulus - 1}]")
+    return cp
+
+
 def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) -> CodeParams:
     """Derive and validate the full parameter bundle from (k, r) and optional (d, b).
 
     r_hat is the unique shape parameter with k in [2^(r_hat-1) - 1, 2^r_hat - 2];
-    m = r_hat + 3, n = m + k, modulus = 2^r_hat + k + 2. d defaults to the top
-    of its valid range and b to 0.
+    m = r_hat + 3, n = m + k, modulus = a_(n+1) = 2^r_hat + k + 2. d defaults
+    to the top of its valid range and b to 0.
     """
     if k < 7:
         raise ValidationError(f"message-part length must be at least 7 (got k={k})")
     r_hat = (k + 1).bit_length()
-    d_lo, d_hi = d_range(r_hat)
     if d is None:
-        d = d_hi
-    elif not d_lo <= d <= d_hi:
-        raise ValidationError(
-            f"free coefficient d={d} is outside [{d_lo}, {d_hi}] for r_hat={r_hat}"
-        )
+        d = d_range(r_hat)[1]
+    else:
+        _check_d(d, r_hat)
     if r < r_hat:
         raise ValidationError(f"run limit r={r} is below r_hat={r_hat}")
     if (k, r, d) == (14, 4, 5):
@@ -96,36 +108,27 @@ def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) ->
             "(k, r, d) = (14, 4, 5) is excluded: the parity fallback cannot "
             "guarantee the run-length limit for this triple"
         )
-    cap = (1 << r) + r - 5
+    cap = feasibility_bound(r)
     if k > cap:
         raise ValidationError(
             f"k={k} exceeds the front-end feasibility bound 2^r + r - 5 = {cap} for r={r}"
         )
-    m = r_hat + 3
-    n = m + k
-    modulus = (1 << r_hat) + k + 2
-    if b is None:
-        b = 0
-    elif not 0 <= b < modulus:
-        raise ValidationError(f"residue b={b} is outside [0, {modulus - 1}]")
-    return CodeParams(k=k, r_hat=r_hat, r=r, d=d, b=b, m=m, n=n, modulus=modulus)
+    return _check_b(CodeParams.unchecked(k, r_hat, r, d, 0 if b is None else b))
 
 
-def raw_params(n: int, r_hat: int, d: int, b: int = 0) -> CongruenceParams:
-    """Definition-level parameters for enumeration oracles (no encoder attached)."""
+def raw_params(n: int, r_hat: int, d: int, b: int = 0) -> CodeParams:
+    """Definition-level parameters for enumeration oracles (no encoder attached).
+
+    Allows code lengths below the encoder's minimum. Only n, r_hat, d, b and
+    the modulus are meaningful; k = n - r_hat - 3 and r = r_hat merely fill
+    the bundle.
+    """
     if n < 1:
         raise ValidationError(f"code length must be positive (got n={n})")
     if r_hat < 4:
         raise ValidationError(f"shape parameter must be at least 4 (got r_hat={r_hat})")
-    d_lo, d_hi = d_range(r_hat)
-    if not d_lo <= d <= d_hi:
-        raise ValidationError(
-            f"free coefficient d={d} is outside [{d_lo}, {d_hi}] for r_hat={r_hat}"
-        )
-    modulus = coefficient_value(n + 1, r_hat, d)
-    if not 0 <= b < modulus:
-        raise ValidationError(f"residue b={b} is outside [0, {modulus - 1}]")
-    return CongruenceParams(n=n, r_hat=r_hat, d=d, b=b, modulus=modulus)
+    _check_d(d, r_hat)
+    return _check_b(CodeParams.unchecked(n - r_hat - 3, r_hat, r_hat, d, b))
 
 
 def coefficient_value(i: int, r_hat: int, d: int) -> int:
@@ -139,26 +142,19 @@ def coefficient_value(i: int, r_hat: int, d: int) -> int:
     return (1 << r_hat) + i - r_hat - 2
 
 
-def coefficient(cp: CodeParams, i: int) -> int:
-    """The i-th coefficient a_i, for 1 <= i <= n + 1."""
-    if not 1 <= i <= cp.n + 1:
-        raise ValueError(f"coefficient index i={i} is outside [1, {cp.n + 1}]")
-    return coefficient_value(i, cp.r_hat, cp.d)
-
-
 @lru_cache(maxsize=None)
 def _coefficients(n: int, r_hat: int, d: int) -> tuple[int, ...]:
     return tuple(coefficient_value(i, r_hat, d) for i in range(1, n + 2))
 
 
-def mu(cp, z: BitSeq) -> int:
+def mu(cp: CodeParams, z: BitSeq) -> int:
     """Weighted sum of z under the coefficient sequence (exact integer)."""
     if len(z) != cp.n:
         raise DataError(f"word length {len(z)} != n = {cp.n}")
     return sum(compress(_coefficients(cp.n, cp.r_hat, cp.d), z.tobytes()))
 
 
-def is_codeword(cp, z: BitSeq) -> bool:
+def is_codeword(cp: CodeParams, z: BitSeq) -> bool:
     """True iff mu(z) is congruent to b modulo a_(n+1)."""
     return mu(cp, z) % cp.modulus == cp.b
 
@@ -208,9 +204,9 @@ def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:
         raise DataError(f"message part violates the run-length limit r={cp.r}")
     p_m = y[0] ^ 1
     p = parity_word(cp, 0, p_m, y)
-    if max_run_length(p) > cp.r:
+    if not is_rll(p, cp.r):
         p = parity_word(cp, 1, p_m, y)
-        if max_run_length(p) > cp.r:
+        if not is_rll(p, cp.r):
             raise InvariantError(
                 f"fallback parity still violates the run-length limit at "
                 f"(k={cp.k}, r={cp.r}, d={cp.d}, b={cp.b})"

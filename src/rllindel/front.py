@@ -34,6 +34,11 @@ from .errors import DataError, InvariantError, ValidationError
 _FORBIDDEN_ONE = b"\x01"
 
 
+def feasibility_bound(r: int) -> int:
+    """The feasibility bound 2^r + r - 5 on the front end's output length k."""
+    return (1 << r) + r - 5
+
+
 @dataclass(frozen=True)
 class FrontParams:
     """Front-end shape: output length k and target maximum run-length r."""
@@ -46,7 +51,7 @@ class FrontParams:
             raise ValidationError(f"run limit must be at least 2 (got r={self.r})")
         if self.k < 2:
             raise ValidationError(f"output length must be at least 2 (got k={self.k})")
-        cap = (1 << self.r) + self.r - 5
+        cap = feasibility_bound(self.r)
         if self.k > cap:
             raise ValidationError(
                 f"k={self.k} exceeds the feasibility bound 2^r + r - 5 = {cap} for r={self.r}"

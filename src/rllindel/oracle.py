@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import add, mul
 
-from .bitseq import BitSeq, is_rll, is_zero_constrained
+from .bitseq import BitSeq, is_rll, is_zero_constrained, le_encode
 from .channel import Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
     CodeParams,
@@ -87,11 +87,11 @@ def enumerate_rll(n: int, r: int) -> list[BitSeq]:
     return out
 
 
-def enumerate_codewords(params) -> list[BitSeq]:
+def enumerate_codewords(params: CodeParams) -> list[BitSeq]:
     """All length-n words whose weighted sum hits the residue, lexicographically.
 
-    Accepts either a CodeParams or a definition-level CongruenceParams (see
-    raw_params), so code lengths below the encoder minimum can be enumerated.
+    Takes a CodeParams from derive_params or, for code lengths below the
+    encoder minimum, from raw_params.
     """
     n = params.n
     if n > _ENUM_CAP:
@@ -170,14 +170,12 @@ def check_sidc(n: int, r_hat: int, d: int, b: int) -> bool:
     return ok
 
 
-def _encoder_params(k: int, r: int, d: int, b: int) -> CodeParams:
-    if (k, r, d) == (14, 4, 5):
-        # the one deliberately excluded triple still gets probed by the oracle
-        r_hat = (k + 1).bit_length()
-        m = r_hat + 3
-        return CodeParams(k=k, r_hat=r_hat, r=r, d=d, b=b, m=m, n=m + k,
-                          modulus=(1 << r_hat) + k + 2)
-    return derive_params(k, r, d, b)
+def _random_word(stream: Stream, bits: int) -> BitSeq:
+    """bits random symbols: symbol j is bit j of the next ceil(bits/64) outputs, first lowest."""
+    value = 0
+    for w in range((bits + 63) // 64):
+        value |= stream.next() << (64 * w)
+    return le_encode(value & ((1 << bits) - 1), bits)
 
 
 def check_encoder_rll(
@@ -193,9 +191,14 @@ def check_encoder_rll(
     sampled with a fixed-seed stream otherwise. For the excluded parameter
     triple the run is sampled and the report simply states what was observed.
     """
+    r_hat = (k + 1).bit_length()
     if d is None:
-        d = d_range((k + 1).bit_length())[1]
-    cp0 = _encoder_params(k, r, d, 0)
+        d = d_range(r_hat)[1]
+    if (k, r, d) == (14, 4, 5):
+        # the one deliberately excluded triple still gets probed by the oracle
+        cp0 = CodeParams.unchecked(k, r_hat, r, d, 0)
+    else:
+        cp0 = derive_params(k, r, d, 0)
     violations = 0
     counterexample = None
     if k <= 10:
@@ -214,16 +217,10 @@ def check_encoder_rll(
         mode = "sampled"
         total = trials
         stream = Stream(seed)
-        words_needed = (k + 63) // 64
         for _ in range(trials):
-            while True:
-                value = 0
-                for w in range(words_needed):
-                    value |= stream.next() << (64 * w)
-                value &= (1 << k) - 1
-                y = BitSeq._wrap(bytes((value >> j) & 1 for j in range(k)))
-                if is_rll(y, r):
-                    break
+            y = _random_word(stream, k)
+            while not is_rll(y, r):
+                y = _random_word(stream, k)
             b = stream.below(cp0.modulus)
             cp = replace(cp0, b=b)
             bad = _embed_violates(cp, y)
@@ -317,14 +314,9 @@ def check_channel_campaign(
     digest = hashlib.sha256()
     failures = 0
     counterexample = None
-    words_needed = (k + 62) // 64
     for index in range(trials):
         stream = Stream(trial_seed(base_seed, index))
-        value = 0
-        for w in range(words_needed):
-            value |= stream.next() << (64 * w)
-        value &= (1 << (k - 1)) - 1
-        u = BitSeq._wrap(bytes((value >> j) & 1 for j in range(k - 1)))
+        u = _random_word(stream, k - 1)
         z = embed_encode(cp, front_encode(u, fp))
         event = random_event(cp.n, stream.next())
         received = apply_event(z, event)

@@ -88,23 +88,22 @@ class TestRedundancyRow:
 
 class TestRho:
     def test_all_zero(self):
-        assert rho(4, 6, BitSeq("0000000")) == 0
+        assert rho(4, BitSeq("0000000")) == 0
 
     def test_single_leading_one(self):
-        assert rho(4, 6, BitSeq("1000000")) == 1
+        assert rho(4, BitSeq("1000000")) == 1
 
     def test_all_ones_except_last(self):
-        assert rho(4, 6, BitSeq("1111110")) == 31
-        assert rho(5, 9, BitSeq("11111110")) == 63
+        assert rho(4, BitSeq("1111110")) == 31
+        assert rho(5, BitSeq("11111110")) == 63
 
     def test_solved_position_is_skipped(self):
-        # the weight at the solved index never contributes, so d is inert
-        word = BitSeq("0001000")
-        assert rho(4, 5, word) == rho(4, 7, word) == 0
+        # the weight at the solved index (d) never contributes
+        assert rho(4, BitSeq("0001000")) == 0
 
     def test_length_error(self):
         with pytest.raises(DataError):
-            rho(4, 6, BitSeq("000"))
+            rho(4, BitSeq("000"))
 
 
 class TestForbiddenParities:

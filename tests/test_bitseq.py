@@ -93,6 +93,11 @@ class TestRunStatistics:
         s = BitSeq(raw)
         assert is_rll(s, r) == (max_run_length(s) <= r)
 
+    @given(bits, st.integers(min_value=2, max_value=8))
+    def test_is_zero_constrained_matches_statistic(self, raw, r):
+        s = BitSeq(raw)
+        assert is_zero_constrained(s, r) == (max_zero_run(s) < r)
+
 
 class TestLittleEndian:
     def test_known_values(self):

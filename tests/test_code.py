@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rllindel.bitseq import BitSeq, is_rll
 from rllindel.code import (
     CodeParams,
-    coefficient,
     coefficient_value,
     d_range,
     derive_params,
@@ -79,14 +78,14 @@ class TestDeriveParams:
 class TestCoefficients:
     def test_sequence_n21(self):
         cp = derive_params(14, 4, d=6)
-        got = [coefficient(cp, i) for i in range(1, 23)]
+        got = [coefficient_value(i, cp.r_hat, cp.d) for i in range(1, 23)]
         assert got == [1, 2, 4, 6, 8, 16] + list(range(17, 33))
         assert got[-1] == cp.modulus == 32
 
     def test_sequence_n38(self):
         cp = derive_params(30, 5, d=9)
         assert cp.n == 38
-        got = [coefficient(cp, i) for i in range(1, 40)]
+        got = [coefficient_value(i, cp.r_hat, cp.d) for i in range(1, 40)]
         assert got == [1, 2, 4, 8, 9, 16, 32] + list(range(33, 65))
         assert got[-1] == cp.modulus == 64
 
@@ -96,13 +95,6 @@ class TestCoefficients:
             for d in range(lo, hi + 1):
                 seq = [coefficient_value(i, r_hat, d) for i in range(1, 40)]
                 assert all(a < b for a, b in zip(seq, seq[1:]))
-
-    def test_coefficient_range_error(self):
-        cp = derive_params(14, 4)
-        with pytest.raises(ValueError):
-            coefficient(cp, 0)
-        with pytest.raises(ValueError):
-            coefficient(cp, 23)
 
 
 class TestWeightedSum:
@@ -129,6 +121,25 @@ class TestWeightedSum:
             raw_params(10, 4, 4, 0)
         with pytest.raises(ValidationError):
             raw_params(10, 4, 6, 21)
+
+    def test_raw_params_short_lengths(self):
+        # below n = r_hat + 1 the modulus a_(n+1) is not 2^r_hat + k + 2
+        assert [raw_params(n, 4, 6).modulus for n in range(1, 8)] == [2, 4, 6, 8, 16, 17, 18]
+
+    def test_raw_params_agree_with_derive_params(self):
+        r_hat_seen = set()
+        for k in range(7, 63):
+            cp = derive_params(k, 6)
+            r_hat_seen.add(cp.r_hat)
+            d_lo, d_hi = d_range(cp.r_hat)
+            for d in range(d_lo, d_hi + 1):
+                for b in (0, cp.modulus // 2, cp.modulus - 1):
+                    full = derive_params(k, 6, d, b)
+                    raw = raw_params(k + cp.r_hat + 3, cp.r_hat, d, b)
+                    assert (raw.n, raw.r_hat, raw.d, raw.b, raw.modulus) == (
+                        full.n, full.r_hat, full.d, full.b, full.modulus
+                    )
+        assert r_hat_seen == {4, 5, 6}
 
 
 class TestParity:
@@ -179,7 +190,8 @@ class TestEmbed:
 
     def test_excluded_triple_can_defeat_fallback(self):
         # regression: reachable only by skipping derivation validation
-        cp = CodeParams(k=14, r_hat=4, r=4, d=5, b=20, m=7, n=21, modulus=32)
+        cp = CodeParams.unchecked(14, 4, 4, 5, 20)
+        assert (cp.m, cp.n, cp.modulus) == (7, 21, 32)
         with pytest.raises(InvariantError, match="fallback"):
             embed_encode(cp, BitSeq("10001100110100"))
 

@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 from rllindel.bitseq import BitSeq, is_rll
+from rllindel.channel import Stream, trial_seed
 from rllindel.code import raw_params
 from rllindel.errors import ValidationError
 from rllindel.oracle import (
     Report,
+    _random_word,
     check_channel_campaign,
     check_encoder_rll,
     check_front_roundtrip,
@@ -155,10 +157,36 @@ class TestChannelCampaign:
         b = check_channel_campaign(13, 4, 200, 5)
         assert a.render() == b.render()
 
+    def test_digest_is_pinned(self):
+        report = check_channel_campaign(60, 6, 1000, 7)
+        assert report.stats["digest"] == (
+            "85df0c409a875d3e7b99fdae37dd36e92413269eb1a435b8a2886ea66cac6d61"
+        )
+
     def test_different_seeds_differ(self):
         a = check_channel_campaign(13, 4, 200, 5)
         b = check_channel_campaign(13, 4, 200, 6)
         assert a.stats["digest"] != b.stats["digest"]
+
+
+class TestRandomWord:
+    # values drawn by the earlier inline samplers, which bench/run.py replays
+    @pytest.mark.parametrize(
+        "seed, index, expected",
+        [
+            (7, 0, "1010001001110"),
+            (424242, 5, "1010010011111101010010000001111111110011011100101000111110100100"),
+            (
+                5,
+                18,
+                "0111001000101010101111001011010011010100001010011100001000001100"
+                "10110001001101100101100111000110111110111101011100000110110011001",
+            ),
+        ],
+    )
+    def test_pinned_words(self, seed, index, expected):
+        stream = Stream(trial_seed(seed, index))
+        assert str(_random_word(stream, len(expected))) == expected
 
 
 class TestReportFormat:
