@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitseq import BitSeq, is_rll
+from .bitseq import BitSeq, is_rll, le_encode
 from .code import CodeParams, coefficient_value, d_range
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, ValidationError
 from .front import feasibility_bound
 
 _LN2 = math.log(2)
@@ -30,14 +30,14 @@ _LN2 = math.log(2)
 def g_bound(r: int) -> int:
     """Largest blocklength served by the baseline balanced-index construction."""
     if r < 3:
-        raise ValueError(f"run limit must be at least 3 (got r={r})")
+        raise ValidationError(f"run limit must be at least 3 (got r={r})")
     return (1 << (r - 3)) + 1
 
 
 def h_bound(r: int) -> int:
     """Largest message-part length the replacement front-end can feed the embedder."""
     if r < 3:
-        raise ValueError(f"run limit must be at least 3 (got r={r})")
+        raise ValidationError(f"run limit must be at least 3 (got r={r})")
     return feasibility_bound(r)
 
 
@@ -48,7 +48,7 @@ def phi(n: float) -> float:
     computed as -log2(1 - 2^(1-n)) so large n cannot overflow.
     """
     if n < 2:
-        raise ValueError(f"blocklength must be at least 2 (got n={n})")
+        raise ValidationError(f"blocklength must be at least 2 (got n={n})")
     return -math.log1p(-(2.0 ** (1 - n))) / _LN2 + math.log2(n - 1)
 
 
@@ -79,7 +79,7 @@ class AnalysisRow:
 def redundancy_row(n: int) -> AnalysisRow:
     """Place n in its blocklength band and compare the fixed cost to the bound."""
     if n < 14:
-        raise ValueError(f"blocklength must be at least 14 (got n={n})")
+        raise ValidationError(f"blocklength must be at least 14 (got n={n})")
     r_hat = 4
     while n > (1 << r_hat) + r_hat + 1:
         r_hat += 1
@@ -110,15 +110,15 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
     order, so the set is definitional rather than transcribed.
     """
     if r_hat < 4:
-        raise ValueError(f"r_hat must be at least 4 (got {r_hat})")
+        raise ValidationError(f"r_hat must be at least 4 (got {r_hat})")
     if last_symbol not in (0, 1):
-        raise ValueError(f"last symbol must be 0 or 1 (got {last_symbol})")
+        raise DataError(f"last symbol must be 0 or 1 (got {last_symbol})")
     m = r_hat + 3
     out = []
     for mask in range(1 << m):
         if mask & 1 != last_symbol:
             continue
-        word = BitSeq._wrap(bytes((mask >> (m - 1 - i)) & 1 for i in range(m)))
+        word = le_encode(mask, m)[::-1]  # most significant symbol first
         if not is_rll(word, r_hat):
             out.append(word)
     return out
@@ -215,7 +215,7 @@ def gap_condition_check(r_hat: int) -> GapReport:
     intervals, unioned over the d range, and the modulus range itself.
     """
     if not 4 <= r_hat <= 12:
-        raise ValueError(f"sweep supports 4 <= r_hat <= 12 (got {r_hat})")
+        raise ValidationError(f"sweep supports 4 <= r_hat <= 12 (got {r_hat})")
     d_lo, d_hi = d_range(r_hat)
     k_lo, k_hi = (1 << (r_hat - 1)) - 1, (1 << r_hat) - 2
     diffs = set()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Union
 
-from .errors import DataError
+from .errors import DataError, ValidationError
 
 BitsLike = Union["BitSeq", str, bytes, bytearray, Iterable[int]]
 
@@ -29,10 +29,10 @@ class BitSeq:
         if isinstance(bits, BitSeq):
             self._data = bits._data
         elif isinstance(bits, str):
-            self._data = _from_text(bits, ValueError)
+            self._data = _from_text(bits)
         elif isinstance(bits, (bytes, bytearray)):
             data = bytes(bits)
-            _check_symbols(data, ValueError)
+            _check_symbols(data)
             self._data = data
         else:
             self._data = _from_ints(bits)
@@ -40,7 +40,7 @@ class BitSeq:
     @classmethod
     def parse(cls, text: str) -> "BitSeq":
         """Parse the text form, raising DataError on any foreign character."""
-        return cls._wrap(_from_text(text, DataError))
+        return cls._wrap(_from_text(text))
 
     @classmethod
     def _wrap(cls, data: bytes) -> "BitSeq":
@@ -90,17 +90,17 @@ class BitSeq:
         return f"BitSeq({str(self)!r})"
 
 
-def _from_text(text: str, err: type) -> bytes:
+def _from_text(text: str) -> bytes:
     try:
         data = text.encode("ascii").translate(_FROM_ASCII)
     except UnicodeEncodeError as exc:
-        raise err(
+        raise DataError(
             f"invalid character {text[exc.start]!r} at position {exc.start + 1}"
         ) from None
     if data.translate(None, b"\x00\x01"):
         for pos, value in enumerate(data, start=1):
             if value > 1:
-                raise err(f"invalid character {text[pos - 1]!r} at position {pos}")
+                raise DataError(f"invalid character {text[pos - 1]!r} at position {pos}")
     return data
 
 
@@ -108,16 +108,16 @@ def _from_ints(bits: Iterable[int]) -> bytes:
     out = bytearray()
     for pos, bit in enumerate(bits, start=1):
         if bit != 0 and bit != 1:
-            raise ValueError(f"symbol at position {pos} is {bit!r}, expected 0 or 1")
+            raise DataError(f"symbol at position {pos} is {bit!r}, expected 0 or 1")
         out.append(bit)
     return bytes(out)
 
 
-def _check_symbols(data: bytes, err: type) -> None:
+def _check_symbols(data: bytes) -> None:
     if data.translate(None, b"\x00\x01"):
         for pos, value in enumerate(data, start=1):
             if value > 1:
-                raise err(f"symbol at position {pos} is {value}, expected 0 or 1")
+                raise DataError(f"symbol at position {pos} is {value}, expected 0 or 1")
 
 
 def max_run_length(s: BitSeq) -> int:
@@ -153,34 +153,33 @@ def max_zero_run(s: BitSeq) -> int:
 def is_rll(s: BitSeq, r: int) -> bool:
     """True iff no run in s is longer than r."""
     if r < 1:
-        raise ValueError(f"run limit must be at least 1 (got r={r})")
+        raise ValidationError(f"run limit must be at least 1 (got r={r})")
     return b"\x00" * (r + 1) not in s._data and b"\x01" * (r + 1) not in s._data
 
 
 def is_zero_constrained(s: BitSeq, r: int) -> bool:
     """True iff every run of zeros in s is shorter than r (ones unconstrained)."""
     if r < 2:
-        raise ValueError(f"run limit must be at least 2 (got r={r})")
+        raise ValidationError(f"run limit must be at least 2 (got r={r})")
     return b"\x00" * r not in s._data
 
 
 def le_encode(x: int, k: int) -> BitSeq:
     """The k-symbol little-endian form of x: x = sum of s_i * 2^(i-1).
 
-    x must satisfy 0 <= x <= 2^k - 1.
+    x must satisfy 0 <= x <= 2^k - 1. The binary text of x, reversed, gives
+    the symbols in time linear in k; the same word read backwards is the
+    most-significant-first form.
     """
     if k < 1:
-        raise ValueError(f"width must be at least 1 (got k={k})")
-    if not 0 <= x < (1 << k):
-        raise ValueError(f"value x={x} is outside [0, 2^{k} - 1]")
-    return BitSeq._wrap(bytes((x >> i) & 1 for i in range(k)))
+        raise ValidationError(f"width must be at least 1 (got k={k})")
+    if x < 0 or x.bit_length() > k:
+        raise DataError(f"value x={x} is outside [0, 2^{k} - 1]")
+    return BitSeq._wrap(format(x, "b").zfill(k).encode("ascii")[::-1].translate(_FROM_ASCII))
 
 
 def le_decode(s: BitSeq) -> int:
     """Inverse of le_encode; the null word has no integer value."""
     if len(s) == 0:
         raise DataError("cannot decode an integer from the null word")
-    total = 0
-    for i, bit in enumerate(s._data):
-        total |= bit << i
-    return total
+    return int(s._data[::-1].translate(_TO_ASCII), 2)

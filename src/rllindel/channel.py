@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitseq import BitSeq
+from .errors import DataError, ValidationError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -47,7 +48,7 @@ class Stream:
     def below(self, bound: int) -> int:
         """Uniform draw from [0, bound) via rejection sampling."""
         if bound < 1:
-            raise ValueError(f"bound must be positive (got {bound})")
+            raise ValidationError(f"bound must be positive (got {bound})")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next()
@@ -58,7 +59,7 @@ class Stream:
 def trial_seed(base_seed: int, index: int) -> int:
     """Per-trial seed: the (index+1)-th output of the stream seeded with base_seed."""
     if index < 0:
-        raise ValueError(f"trial index must be non-negative (got {index})")
+        raise DataError(f"trial index must be non-negative (got {index})")
     return mix64((base_seed + (index + 1) * _GOLDEN) & _MASK)
 
 
@@ -77,14 +78,14 @@ class ChannelEvent:
 
     def __post_init__(self) -> None:
         if self.kind not in (INSERTION, DELETION):
-            raise ValueError(f"unknown event kind {self.kind!r}")
+            raise ValidationError(f"unknown event kind {self.kind!r}")
         if self.position < 1:
-            raise ValueError(f"position must be at least 1 (got {self.position})")
+            raise DataError(f"position must be at least 1 (got {self.position})")
         if self.kind == INSERTION:
             if self.symbol not in (0, 1):
-                raise ValueError(f"insertion symbol must be 0 or 1 (got {self.symbol!r})")
+                raise DataError(f"insertion symbol must be 0 or 1 (got {self.symbol!r})")
         elif self.symbol is not None:
-            raise ValueError("deletion events carry no symbol")
+            raise DataError("deletion events carry no symbol")
 
 
 def apply_event(s: BitSeq, e: ChannelEvent) -> BitSeq:
@@ -94,12 +95,12 @@ def apply_event(s: BitSeq, e: ChannelEvent) -> BitSeq:
     i = e.position - 1
     if e.kind == INSERTION:
         if not 1 <= e.position <= length + 1:
-            raise ValueError(
+            raise DataError(
                 f"insertion position {e.position} is outside [1, {length + 1}]"
             )
         return BitSeq._wrap(data[:i] + bytes([e.symbol]) + data[i:])
     if not 1 <= e.position <= length:
-        raise ValueError(f"deletion position {e.position} is outside [1, {length}]")
+        raise DataError(f"deletion position {e.position} is outside [1, {length}]")
     return BitSeq._wrap(data[:i] + data[i + 1 :])
 
 
@@ -112,12 +113,12 @@ def random_event(length: int, seed: int, kind: str | None = None) -> ChannelEven
     insertion symbols are uniform over {0, 1}.
     """
     if length < 1:
-        raise ValueError(f"length must be at least 1 (got {length})")
+        raise DataError(f"length must be at least 1 (got {length})")
     stream = Stream(seed)
     if kind is None:
         kind = DELETION if stream.next() & 1 else INSERTION
     elif kind not in (INSERTION, DELETION):
-        raise ValueError(f"unknown event kind {kind!r}")
+        raise ValidationError(f"unknown event kind {kind!r}")
     if kind == INSERTION:
         position = 1 + stream.below(length + 1)
         return ChannelEvent(INSERTION, position, stream.next() & 1)

@@ -8,6 +8,9 @@ stderr where noted.
 
 Exit codes are part of the contract: 0 success, 1 usage, 2 parameter
 validation, 3 data error on at least one input line, 4 verification failure.
+The library rejects input only with CodecError subclasses; main maps a
+ValidationError to 2 and a DataError to 3, and the per-line commands report
+a DataError for its line and carry on with the next.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ def _for_each_line(transform: Callable[[int, str], None]) -> int:
     for number, raw in enumerate(sys.stdin, start=1):
         try:
             transform(number, raw.strip())
-        except (DataError, ValueError) as exc:
+        except DataError as exc:
             failed = True
             print(f"ERROR {number} {exc}", file=sys.stderr)
     return EXIT_DATA if failed else EXIT_OK
@@ -117,7 +120,13 @@ def _verify_front_roundtrip(args) -> int:
     return _emit_reports([check_front_roundtrip(args.k, args.r)])
 
 
+def _check_range(args) -> None:
+    if args.n_min > args.n_max:
+        raise ValidationError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+
+
 def _verify_sidc(args) -> int:
+    _check_range(args)
     reports = []
     for n in range(args.n_min, args.n_max + 1):
         modulus = raw_params(n, args.rhat, args.d, 0).modulus
@@ -162,8 +171,7 @@ def _verify_campaign(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.n_min > args.n_max:
-        raise ValidationError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    _check_range(args)
     rows = [redundancy_row(n) for n in range(args.n_min, args.n_max + 1)]
     sys.stdout.write(emit_csv(rows))
     return EXIT_OK
@@ -292,9 +300,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -170,7 +170,7 @@ def parity_solve(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
     if len(y) != cp.k:
         raise DataError(f"message-part length {len(y)} != k = {cp.k}")
     if p_rhat not in (0, 1) or p_m not in (0, 1):
-        raise ValueError("parity symbols must be 0 or 1")
+        raise DataError("parity symbols must be 0 or 1")
     coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
     sigma = sum(compress(islice(coeffs, cp.m, None), y.tobytes()))
     a_m = coeffs[cp.m - 1]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitseq import BitSeq, le_encode
+from .bitseq import _TO_ASCII, BitSeq, le_encode
 from .errors import DataError, InvariantError, ValidationError
 
 _FORBIDDEN_ONE = b"\x01"
@@ -71,9 +71,9 @@ def omega(s: int, t: int) -> BitSeq:
     length is exactly s, and its zero-runs never exceed t.
     """
     if t < 2:
-        raise ValueError(f"tail parameter must be at least 2 (got t={t})")
+        raise ValidationError(f"tail parameter must be at least 2 (got t={t})")
     if s < 0:
-        raise ValueError(f"replacement count must be non-negative (got s={s})")
+        raise ValidationError(f"replacement count must be non-negative (got s={s})")
     v, rem = divmod(s, t + 1)
     return BitSeq._wrap(b"\x00" * rem + (b"\x01" * t + b"\x00") * v)
 
@@ -125,10 +125,8 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
     marker = b"\x01" + b"\x00" * (r - 2)
     for step in range(s, 0, -1):
         if len(v) >= r:
-            c = 0
-            for j, bit in enumerate(v[-r:]):
-                c |= bit << j
-            p = c - 3
+            # the pointer is le_encode(p + 3, r): its text read backwards is binary
+            p = int(v[-r:][::-1].translate(_TO_ASCII), 2) - 3
             if 1 <= p <= len(v) - r + 1:
                 del v[-r:]
                 v[p - 1 : p - 1] = b"\x00" * r + _FORBIDDEN_ONE

@@ -21,14 +21,13 @@ from .channel import Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
     CodeParams,
     _coefficients,
-    d_range,
     derive_params,
     embed_encode,
     is_codeword,
     raw_params,
 )
 from .decoder import decode_message
-from .errors import CodecError, InvariantError
+from .errors import CodecError, InvariantError, ValidationError
 from .front import FrontParams, front_encode, wi_decode, wi_encode
 
 DEFAULT_SAMPLE_TRIALS = 100_000
@@ -65,11 +64,11 @@ class Report:
 def enumerate_rll(n: int, r: int) -> list[BitSeq]:
     """All length-n words with maximum run-length <= r, in lexicographic order."""
     if n < 1:
-        raise ValueError(f"length must be positive (got n={n})")
+        raise ValidationError(f"length must be positive (got n={n})")
     if r < 1:
-        raise ValueError(f"run limit must be positive (got r={r})")
+        raise ValidationError(f"run limit must be positive (got r={r})")
     if n > _ENUM_CAP:
-        raise ValueError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
+        raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
     out: list[BitSeq] = []
     buf = bytearray(n)
 
@@ -95,7 +94,7 @@ def enumerate_codewords(params: CodeParams) -> list[BitSeq]:
     """
     n = params.n
     if n > _ENUM_CAP:
-        raise ValueError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
+        raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
     coeffs = _coefficients(n, params.r_hat, params.d)
     weights = [coeffs[n - 1 - j] for j in range(n)]
     b, modulus = params.b, params.modulus
@@ -108,7 +107,7 @@ def enumerate_codewords(params: CodeParams) -> list[BitSeq]:
             total += weights[low.bit_length() - 1]
             rest ^= low
         if total % modulus == b:
-            out.append(BitSeq._wrap(bytes((mask >> (n - 1 - i)) & 1 for i in range(n))))
+            out.append(le_encode(mask, n)[::-1])  # most significant symbol first
     return out
 
 
@@ -165,7 +164,7 @@ def deletion_balls_disjoint(words) -> tuple[bool, tuple[BitSeq, BitSeq] | None]:
 def check_sidc(n: int, r_hat: int, d: int, b: int) -> bool:
     """True iff the single-deletion balls of all distinct codewords are disjoint."""
     if n > _SIDC_CAP:
-        raise ValueError(f"ball-disjointness check is capped at n = {_SIDC_CAP} (got n={n})")
+        raise ValidationError(f"ball-disjointness check is capped at n = {_SIDC_CAP} (got n={n})")
     ok, _ = deletion_balls_disjoint(enumerate_codewords(raw_params(n, r_hat, d, b)))
     return ok
 
@@ -191,50 +190,44 @@ def check_encoder_rll(
     sampled with a fixed-seed stream otherwise. For the excluded parameter
     triple the run is sampled and the report simply states what was observed.
     """
-    r_hat = (k + 1).bit_length()
-    if d is None:
-        d = d_range(r_hat)[1]
     if (k, r, d) == (14, 4, 5):
-        # the one deliberately excluded triple still gets probed by the oracle
-        cp0 = CodeParams.unchecked(k, r_hat, r, d, 0)
+        # the one deliberately excluded triple still gets probed by the oracle (r_hat = 4)
+        cp0 = CodeParams.unchecked(k, 4, r, d, 0)
     else:
         cp0 = derive_params(k, r, d, 0)
-    violations = 0
-    counterexample = None
     if k <= 10:
         mode = "exhaustive"
         words = enumerate_rll(k, r)
         total = len(words) * cp0.modulus
-        for y in words:
-            for b in range(cp0.modulus):
-                cp = replace(cp0, b=b)
-                bad = _embed_violates(cp, y)
-                if bad:
-                    violations += 1
-                    if counterexample is None:
-                        counterexample = f"y={y} b={b} {bad}"
+        pairs = ((y, b) for y in words for b in range(cp0.modulus))
     else:
         mode = "sampled"
         total = trials
-        stream = Stream(seed)
-        for _ in range(trials):
-            y = _random_word(stream, k)
-            while not is_rll(y, r):
-                y = _random_word(stream, k)
-            b = stream.below(cp0.modulus)
-            cp = replace(cp0, b=b)
-            bad = _embed_violates(cp, y)
-            if bad:
-                violations += 1
-                if counterexample is None:
-                    counterexample = f"y={y} b={b} {bad}"
+        pairs = _sampled_pairs(Stream(seed), k, r, cp0.modulus, trials)
+    violations = 0
+    counterexample = None
+    for y, b in pairs:
+        bad = _embed_violates(replace(cp0, b=b), y)
+        if bad:
+            violations += 1
+            if counterexample is None:
+                counterexample = f"y={y} b={b} {bad}"
     return Report(
         name="encoder-rll",
-        params={"k": k, "r": r, "d": d},
+        params={"k": k, "r": r, "d": cp0.d},
         passed=violations == 0,
         counterexample=counterexample,
         stats={"mode": mode, "encodes": total, "violations": violations},
     )
+
+
+def _sampled_pairs(stream: Stream, k: int, r: int, modulus: int, trials: int):
+    """trials (run-limited word, residue) pairs: a word redrawn until run-limited, then b."""
+    for _ in range(trials):
+        y = _random_word(stream, k)
+        while not is_rll(y, r):
+            y = _random_word(stream, k)
+        yield y, stream.below(modulus)
 
 
 def _embed_violates(cp: CodeParams, y: BitSeq) -> str | None:
@@ -257,7 +250,7 @@ def check_front_roundtrip(k: int, r: int) -> Report:
     """
     fp = FrontParams(k, r)
     if k > _ROUNDTRIP_CAP:
-        raise ValueError(
+        raise ValidationError(
             f"exhaustive round-trip check is capped at k = {_ROUNDTRIP_CAP} (got k={k})"
         )
     failures = 0
@@ -265,7 +258,7 @@ def check_front_roundtrip(k: int, r: int) -> Report:
     seen: dict[BitSeq, BitSeq] = {}
     total = 1 << (k - 1)
     for mask in range(total):
-        u = BitSeq._wrap(bytes((mask >> (k - 2 - i)) & 1 for i in range(k - 1)))
+        u = le_encode(mask, k - 1)[::-1]  # most significant symbol first
         x = wi_encode(u, fp)
         problem = None
         if len(x) != k:

@@ -17,7 +17,7 @@ from rllindel.analysis import (
     rho,
 )
 from rllindel.bitseq import BitSeq
-from rllindel.errors import DataError, InvariantError
+from rllindel.errors import DataError, InvariantError, ValidationError
 
 
 class TestBounds:
@@ -33,9 +33,9 @@ class TestBounds:
             assert h_bound(r) > g_bound(r)
 
     def test_range_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             g_bound(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             h_bound(2)
 
 
@@ -54,7 +54,7 @@ class TestPhi:
         assert abs(phi(4096) - 12.0) < 0.01
 
     def test_range_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             phi(1)
 
     def test_psi_positive(self):
@@ -76,7 +76,7 @@ class TestRedundancyRow:
         assert abs(row.gap - 4.299384) < 1e-6
 
     def test_range_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             redundancy_row(13)
 
     def test_row_invariants_enforced(self):
@@ -144,9 +144,9 @@ class TestForbiddenParities:
                     assert "11111" in text and p[3] == 1
 
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             forbidden_parities(3, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             forbidden_parities(4, 2)
 
 
@@ -180,9 +180,9 @@ class TestGapCondition:
         assert "collisions=1" in lines[1]
 
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             gap_condition_check(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             gap_condition_check(13)
 
     def test_report_invariants_enforced(self):

@@ -12,7 +12,7 @@ from rllindel.bitseq import (
     max_run_length,
     max_zero_run,
 )
-from rllindel.errors import DataError
+from rllindel.errors import DataError, ValidationError
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=64)
 
@@ -32,10 +32,13 @@ class TestBitSeq:
             BitSeq.parse("01x0")
 
     def test_constructor_rejects_bad_symbol(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             BitSeq([0, 2])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError) as from_constructor:
             BitSeq("012")
+        with pytest.raises(DataError) as from_parse:
+            BitSeq.parse("012")
+        assert str(from_constructor.value) == str(from_parse.value)
 
     def test_indexing_and_slicing(self):
         s = BitSeq("10110")
@@ -74,13 +77,13 @@ class TestRunStatistics:
     def test_is_rll(self):
         assert is_rll(BitSeq("110011"), 2)
         assert not is_rll(BitSeq("111011"), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             is_rll(BitSeq("01"), 0)
 
     def test_is_zero_constrained_ignores_ones(self):
         assert is_zero_constrained(BitSeq("111111001"), 3)
         assert not is_zero_constrained(BitSeq("10001"), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             is_zero_constrained(BitSeq("01"), 1)
 
     @given(bits)
@@ -107,11 +110,11 @@ class TestLittleEndian:
         assert le_decode(BitSeq("011")) == 6
 
     def test_range_error(self):
-        with pytest.raises(ValueError, match="x=8"):
+        with pytest.raises(DataError, match="x=8"):
             le_encode(8, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             le_encode(-1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             le_encode(0, 0)
 
     def test_decode_empty_is_data_error(self):

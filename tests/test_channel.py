@@ -15,6 +15,7 @@ from rllindel.channel import (
     random_event,
     trial_seed,
 )
+from rllindel.errors import DataError, ValidationError
 
 
 class TestStream:
@@ -46,21 +47,21 @@ class TestStream:
         assert len(seeds) == 1000
 
     def test_trial_seed_rejects_negative_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             trial_seed(7, -1)
 
 
 class TestChannelEvent:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             ChannelEvent("flip", 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ChannelEvent(DELETION, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ChannelEvent(INSERTION, 1)  # missing symbol
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ChannelEvent(INSERTION, 1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             ChannelEvent(DELETION, 1, 0)  # deletions carry no symbol
 
     def test_apply_insertion(self):
@@ -76,9 +77,9 @@ class TestChannelEvent:
 
     def test_apply_range_errors(self):
         s = BitSeq("101")
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(DataError, match="outside"):
             apply_event(s, ChannelEvent(INSERTION, 5, 0))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(DataError, match="outside"):
             apply_event(s, ChannelEvent(DELETION, 4))
 
     def test_log_line(self):
@@ -109,8 +110,14 @@ class TestRandomEvent:
         assert kinds == {DELETION, INSERTION}
 
     def test_rejects_empty_word(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             random_event(0, 7)
+
+    def test_rejects_unknown_kind_and_empty_range(self):
+        with pytest.raises(ValidationError):
+            random_event(5, 7, "flip")
+        with pytest.raises(ValidationError):
+            Stream(7).below(0)
 
     @given(st.integers(min_value=0), st.integers(min_value=1, max_value=32))
     def test_apply_never_fails_on_drawn_event(self, seed, length):

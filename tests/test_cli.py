@@ -1,6 +1,14 @@
 """Command-line interface: subcommands, streaming behavior, and exit codes."""
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rllindel import cli
 
 CMD = [sys.executable, "-m", "rllindel"]
 
@@ -161,3 +169,90 @@ class TestAnalyze:
     def test_reversed_range_exits_2(self):
         result = run("analyze", "redundancy", "--n-min", "20", "--n-max", "14")
         assert result.returncode == 2
+
+
+# One or more bad-parameter calls per subcommand and suite, each with the
+# reason it must print. corrupt takes no parameter the library can reject
+# (any integer seeds the stream; argparse checks --op).
+BAD_PARAMETERS = [
+    ("params --k 6 --r 4", "message-part length must be at least 7 (got k=6)"),
+    (
+        "params --k 14 --r 4 --d 5",
+        "(k, r, d) = (14, 4, 5) is excluded: the parity fallback cannot "
+        "guarantee the run-length limit for this triple",
+    ),
+    ("params --k 14 --r 4 --b 99", "residue b=99 is outside [0, 31]"),
+    ("encode --k 13 --r 4 --b 99", "residue b=99 is outside [0, 30]"),
+    ("encode --raw --k 14 --r 3", "run limit r=3 is below r_hat=4"),
+    ("decode --k 6 --r 4", "message-part length must be at least 7 (got k=6)"),
+    ("decode --raw --k 14 --r 4 --d 99", "free coefficient d=99 is outside [5, 7] for r_hat=4"),
+    (
+        "verify front-roundtrip --k 14 --r 5",
+        "exhaustive round-trip check is capped at k = 13 (got k=14)",
+    ),
+    ("verify front-roundtrip --k 5 --r 1", "run limit must be at least 2 (got r=1)"),
+    (
+        "verify sidc --n-min 16 --n-max 17 --rhat 4 --d 6",
+        "ball-disjointness check is capped at n = 16 (got n=17)",
+    ),
+    ("verify sidc --n-min 5 --n-max 3 --rhat 4 --d 6", "--n-min 5 exceeds --n-max 3"),
+    (
+        "verify sidc --n-min 1 --n-max 3 --rhat 3 --d 6",
+        "shape parameter must be at least 4 (got r_hat=3)",
+    ),
+    ("verify sidc --n-min 1 --n-max 3 --rhat 4 --d 6 --b -1", "residue b=-1 is outside [0, 1]"),
+    ("verify encoder-rll --k 0 --r 4", "message-part length must be at least 7 (got k=0)"),
+    ("verify encoder-rll --k 20 --r 3", "run limit r=3 is below r_hat=5"),
+    ("verify gap-condition --rhat 2", "sweep supports 4 <= r_hat <= 12 (got 2)"),
+    ("verify gap-condition --rhat 13", "sweep supports 4 <= r_hat <= 12 (got 13)"),
+    ("verify campaign --k 6 --r 4 --seed 1", "message-part length must be at least 7 (got k=6)"),
+    ("verify campaign --k 13 --r 4 --b 999 --seed 1", "residue b=999 is outside [0, 30]"),
+    ("analyze redundancy --n-min 3 --n-max 20", "blocklength must be at least 14 (got n=3)"),
+    ("analyze redundancy --n-min 20 --n-max 14", "--n-min 20 exceeds --n-max 14"),
+]
+
+
+@pytest.mark.parametrize("args, reason", BAD_PARAMETERS, ids=[a for a, _ in BAD_PARAMETERS])
+def test_bad_parameters_exit_2(args, reason):
+    result = run(*args.split(), stdin="0101\n")
+    assert result.returncode == 2
+    assert result.stderr == f"parameter error: {reason}\n"
+    assert result.stdout == ""
+
+
+def _main(argv, stdin):
+    """cli.main in this process on the given stdin text; returns the exit code."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return cli.main(argv)
+    finally:
+        sys.stdin = saved
+
+
+flag = st.integers(min_value=-3, max_value=70).map(str)
+lines = st.lists(
+    st.one_of(st.text(alphabet="01", max_size=90), st.text(max_size=6)), max_size=4
+).map(lambda items: "".join(item + "\n" for item in items))
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(["params", "encode", "decode", "corrupt"]))
+    if command == "corrupt":
+        op = draw(st.sampled_from(["insert", "delete", "random"]))
+        return ["corrupt", "--seed", draw(flag), "--op", op]
+    argv = [command, "--k", draw(flag), "--r", draw(flag)]
+    for name in ("--d", "--b"):
+        if draw(st.booleans()):
+            argv += [name, draw(flag)]
+    if command != "params" and draw(st.booleans()):
+        argv.append("--raw")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(invocations(), lines)
+def test_main_never_raises(argv, stdin):
+    assert _main(argv, stdin) in (0, 2, 3)

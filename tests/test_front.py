@@ -37,9 +37,9 @@ class TestOmega:
                 assert is_zero_constrained(BitSeq("1") + omega(s, t), t + 1)
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             omega(3, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             omega(-1, 4)
 
 

@@ -45,11 +45,11 @@ class TestEnumerateRll:
         assert len(enumerate_rll(10, 4)) == frozen("rll_count_n10_r4")
 
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             enumerate_rll(25, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             enumerate_rll(0, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             enumerate_rll(4, 0)
 
 
@@ -70,7 +70,7 @@ class TestEnumerateCodewords:
         assert total == 1 << 10
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             enumerate_codewords(raw_params(25, 4, 6, 0))
 
 
@@ -100,7 +100,7 @@ class TestDeletionBalls:
         assert not ok
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             check_sidc(17, 4, 6, 0)
 
 
@@ -142,7 +142,7 @@ class TestFrontRoundtrip:
             check_front_roundtrip(14, 4)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             check_front_roundtrip(14, 5)
 
 
