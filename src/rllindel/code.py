@@ -37,7 +37,7 @@ from itertools import compress, islice
 
 from .bitseq import BitSeq, is_rll, le_encode
 from .errors import DataError, InvariantError, ValidationError
-from .front import FrontParams, feasibility_bound, front_encode
+from .front import cached_front_params, feasibility_bound, front_encode
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,15 @@ def _check_b(cp: CodeParams) -> CodeParams:
     return cp
 
 
+@lru_cache(maxsize=256, typed=True)
 def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) -> CodeParams:
     """Derive and validate the full parameter bundle from (k, r) and optional (d, b).
 
     r_hat is the unique shape parameter with k in [2^(r_hat-1) - 1, 2^r_hat - 2];
     m = r_hat + 3, n = m + k, modulus = a_(n+1) = 2^r_hat + k + 2. d defaults
-    to the top of its valid range and b to 0.
+    to the top of its valid range and b to 0. Results are memoized per
+    argument tuple; a rejection is not cached, so it is raised again on every
+    call with the same text.
     """
     if k < 7:
         raise ValidationError(f"message-part length must be at least 7 (got k={k})")
@@ -217,7 +220,7 @@ def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:
 def encode_message(u: BitSeq, k: int, r: int, d: int | None = None, b: int | None = None) -> BitSeq:
     """Full pipeline: message of length k-1 to codeword of length n = k + r_hat + 3."""
     cp = derive_params(k, r, d, b)
-    y = front_encode(u, FrontParams(k, r))
+    y = front_encode(u, cached_front_params(k, r))
     return embed_encode(cp, y)
 
 

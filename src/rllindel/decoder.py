@@ -46,7 +46,7 @@ from itertools import compress
 from .bitseq import _TO_ASCII, BitSeq
 from .code import CodeParams, _coefficients, is_codeword
 from .errors import DataError, InvariantError, UncorrectableError
-from .front import FrontParams, front_decode
+from .front import cached_front_params, front_decode
 
 
 def _count_before(packed: int, length: int, symbol: int, j: int) -> int:
@@ -145,4 +145,4 @@ def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
 def decode_message(cp: CodeParams, received: BitSeq) -> BitSeq:
     """Correct the received word, strip the parity part, invert the front-end."""
     z = correct(cp, received)
-    return front_decode(z[cp.m :], FrontParams(cp.k, cp.r))
+    return front_decode(z[cp.m :], cached_front_params(cp.k, cp.r))

@@ -18,6 +18,23 @@ are removed and the (r-1)-symbol marker 1 0^(r-2) is appended. Markers decode
 to values 2 or 3, pointers to values >= 4, so the decoder can always tell the
 two apart.
 
+Encoding cost: the search resumes rather than restarting. The first forbidden
+word found starts at some idx, so none starts before idx, and no two overlap
+(each holds exactly one 1, its last symbol). A replacement at idx keeps the
+symbols before idx, so a forbidden word in the new working word that starts
+before idx - r would lie wholly inside that kept prefix, where there was none.
+The next search therefore starts at max(idx - r, 0). A new forbidden word can
+start as far back as that, when the last zeros of a run before idx meet a 1
+the deletion pulled left, or further right, inside the appended pointers. The
+sentinel 1 stays the last byte of the working word: pointers are inserted
+before it, and in the end case the r zeros and the sentinel become the marker
+and the sentinel. Every symbol is searched a bounded number of times, apart
+from the O(r) symbols around each replacement, so s replacements cost
+O(k + s*r) C-level search work plus O(s) Python steps; each deletion also
+closes its gap with one C-level memmove of the word's tail.
+oracle.reference_wi_encode keeps the restart-from-symbol-0 loop as the
+reference the tests compare this encoder against.
+
 Decodability bound: the decoder parses the replacement count from the right,
 greedily stripping (1^(r-1) 0) blocks and then zeros. For k >= 2^r + r - 6
 that greedy parse is ambiguous (an exhaustive round-trip sweep finds messages
@@ -27,8 +44,9 @@ k <= 2^r + r - 7 round-trips exhaustively for every tested r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .bitseq import _TO_ASCII, BitSeq, le_encode
+from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq
 from .errors import DataError, InvariantError, ValidationError
 
 _FORBIDDEN_ONE = b"\x01"
@@ -64,6 +82,12 @@ class FrontParams:
             )
 
 
+@lru_cache(maxsize=256, typed=True)
+def cached_front_params(k: int, r: int) -> FrontParams:
+    """FrontParams(k, r), validated once per (k, r); a rejection is raised again on every call."""
+    return FrontParams(k, r)
+
+
 def omega(s: int, t: int) -> BitSeq:
     """Self-delimiting tail encoding the replacement count s.
 
@@ -80,26 +104,30 @@ def omega(s: int, t: int) -> BitSeq:
 
 def _wi_encode(data: bytes, k: int, r: int) -> bytes:
     pattern = b"\x00" * r + _FORBIDDEN_ONE
-    v = bytearray(data)
+    pointer_format = f"0{r}b"
+    # the working word with its sentinel 1 as the last byte
+    w = bytearray(data)
+    w.append(1)
     s = 0
-    while True:
-        idx = bytes(v + _FORBIDDEN_ONE).find(pattern)
-        if idx < 0:
-            break
+    idx = w.find(pattern)
+    while idx >= 0:
         if s >= k:
             raise InvariantError(
                 f"replacement loop overran s={s} at (k={k}, r={r}); parameters must be rejected"
             )
-        p = idx + 1
-        if p + r <= len(v):
-            del v[idx : idx + r + 1]
-            v.extend(le_encode(p + 3, r).tobytes())
+        end = idx + r + 1
+        if end < len(w):
+            del w[idx:end]
+            # the pointer le_encode(p + 3, r) for p = idx + 1; p + 3 < 2^r at every
+            # accepted (k, r), and a wider pointer would fail the length check below
+            w[-1:-1] = format(idx + 4, pointer_format)[::-1].encode().translate(_FROM_ASCII)
         else:
-            del v[idx:]
-            v.append(1)
-            v.extend(b"\x00" * (r - 2))
+            # end case: the sentinel closes the forbidden word; marker 1 0^(r-2), then sentinel
+            w[idx:] = b"\x01" + b"\x00" * (r - 2) + _FORBIDDEN_ONE
         s += 1
-    out = bytes(v) + _FORBIDDEN_ONE + omega(s, r - 1).tobytes()
+        # no forbidden word starts before idx - r (see the module docstring)
+        idx = w.find(pattern, idx - r if idx > r else 0)
+    out = bytes(w) + omega(s, r - 1).tobytes()
     if len(out) != k:
         raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
     return out
@@ -122,6 +150,7 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
         raise DataError("no sentinel symbol found while parsing the replacement count")
     s = a + r * nblocks
     v = bytearray(data[: i - 1])
+    pattern = b"\x00" * r + _FORBIDDEN_ONE
     marker = b"\x01" + b"\x00" * (r - 2)
     for step in range(s, 0, -1):
         if len(v) >= r:
@@ -129,10 +158,10 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
             p = int(v[-r:][::-1].translate(_TO_ASCII), 2) - 3
             if 1 <= p <= len(v) - r + 1:
                 del v[-r:]
-                v[p - 1 : p - 1] = b"\x00" * r + _FORBIDDEN_ONE
+                v[p - 1 : p - 1] = pattern
                 continue
-        if len(v) >= r - 1 and bytes(v[len(v) - (r - 1) :]) == marker:
-            del v[len(v) - (r - 1) :]
+        if v.endswith(marker):
+            del v[1 - r :]
             v.extend(b"\x00" * r)
             continue
         raise DataError(

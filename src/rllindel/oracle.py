@@ -28,7 +28,7 @@ from .code import (
 )
 from .decoder import decode_message
 from .errors import CodecError, InvariantError, ValidationError
-from .front import FrontParams, front_encode, wi_decode, wi_encode
+from .front import _FORBIDDEN_ONE, FrontParams, front_encode, omega, wi_decode, wi_encode
 
 DEFAULT_SAMPLE_TRIALS = 100_000
 DEFAULT_SAMPLE_SEED = 0x1D5EED
@@ -140,6 +140,39 @@ def reference_candidates(cp, data: bytes) -> set[bytes]:
         for p, weight in enumerate(map(add, pre, rest[1:])):
             if weight % cp.modulus == cp.b:
                 out.add(data[:p] + data[p + 1 :])
+    return out
+
+
+def reference_wi_encode(data: bytes, k: int, r: int) -> bytes:
+    """The replacement front end, restarting its search at symbol 0 after every replacement.
+
+    Each search runs over a fresh copy of the working word with the sentinel
+    appended, so s replacements cost O(s k). This is the reference that
+    front._wi_encode, which resumes its search instead, is tested against.
+    """
+    pattern = b"\x00" * r + _FORBIDDEN_ONE
+    v = bytearray(data)
+    s = 0
+    while True:
+        idx = bytes(v + _FORBIDDEN_ONE).find(pattern)
+        if idx < 0:
+            break
+        if s >= k:
+            raise InvariantError(
+                f"replacement loop overran s={s} at (k={k}, r={r}); parameters must be rejected"
+            )
+        p = idx + 1
+        if p + r <= len(v):
+            del v[idx : idx + r + 1]
+            v.extend(le_encode(p + 3, r).tobytes())
+        else:
+            del v[idx:]
+            v.append(1)
+            v.extend(b"\x00" * (r - 2))
+        s += 1
+    out = bytes(v) + _FORBIDDEN_ONE + omega(s, r - 1).tobytes()
+    if len(out) != k:
+        raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
     return out
 
 

@@ -1,4 +1,7 @@
 """Parameter derivation, coefficient sequence, and the congruence embedder."""
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from rllindel.code import (
     parity_word,
     raw_params,
 )
+from rllindel.decoder import decode_message
 from rllindel.errors import DataError, InvariantError, ValidationError
 
 EXAMPLE_CP = dict(k=14, r=4, d=6, b=31)
@@ -212,3 +216,66 @@ class TestPipelineEncode:
     def test_rejects_infeasible_pair(self):
         with pytest.raises(ValidationError):
             encode_message(BitSeq("1" * 13), 14, 4)
+
+
+def _raises_twice(call, *args, **kwargs) -> str:
+    """Call twice; both calls must raise ValidationError with the same text, which is returned."""
+    texts = []
+    for _ in range(2):
+        with pytest.raises(ValidationError) as info:
+            call(*args, **kwargs)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1]
+    return texts[0]
+
+
+class TestMemoizedValidation:
+    """derive_params and the front-end parameters are memoized; rejections are not."""
+
+    def test_derive_params_rejects_every_time(self):
+        assert "r_hat" in _raises_twice(derive_params, 14, 3)
+        assert "at least 7" in _raises_twice(derive_params, 6, 4)
+        assert "free coefficient" in _raises_twice(derive_params, 14, 4, d=4)
+        assert "residue" in _raises_twice(derive_params, 14, 4, b=32)
+        assert derive_params(14, 4) == derive_params(14, 4)
+
+    def test_encode_message_rejects_every_time(self):
+        u = BitSeq("1" * 13)
+        # derive_params accepts (14, 4) with the default d; the front end rejects it
+        assert "ambiguous" in _raises_twice(encode_message, u, 14, 4)
+        # the parameter bundle is checked before the front end, on every call
+        assert "(14, 4, 5)" in _raises_twice(encode_message, u, 14, 4, d=5)
+        assert "free coefficient" in _raises_twice(encode_message, u, 14, 4, d=8)
+        assert "residue" in _raises_twice(encode_message, u, 14, 4, b=32)
+        z = encode_message(BitSeq("1" * 12), 13, 4)
+        assert decode_message(derive_params(13, 4), z) == BitSeq("1" * 12)
+
+    def test_decode_message_rejects_every_time(self):
+        # a bundle built without validation at a length the front end rejects;
+        # the all-zero word is a codeword at b = 0, so correction succeeds first
+        cp = CodeParams.unchecked(14, 4, 4, 7, 0)
+        z = BitSeq("0" * cp.n)
+        assert "ambiguous" in _raises_twice(decode_message, cp, z)
+        u = BitSeq("0" * 12)
+        cp = derive_params(13, 4)
+        assert decode_message(cp, encode_message(u, 13, 4)) == u
+
+
+# sha256 over the text of every codeword, one per line, for seeded messages;
+# the values were computed with the restart-from-symbol-0 front end
+GOLDEN = [
+    (4000, 12, 1 / 16, 20, "bb2c92ced6578fd8c29ce0570eb9046c4e44132045bce0823df4a02d3c80c305"),
+    (4000, 12, 1 / 2, 20, "c5e337e80c99326f4972852b044d966a67e676a6a62c93443c20f1944d376e9b"),
+    (250, 8, 1 / 2, 200, "f874f67ce21787b899508cc6ed88ed5f1ef1c4867273e7719a3682e836606673"),
+    (60, 6, 1 / 2, 500, "5a17c5141cdb4177f7a484ab63f5768e04abda1205e55b4a02141579b9ab3c80"),
+]
+
+
+@pytest.mark.parametrize("k, r, p_one, count, digest", GOLDEN)
+def test_golden_codeword_digest(k, r, p_one, count, digest):
+    rng = random.Random(f"golden {k} {r} {p_one}")
+    h = hashlib.sha256()
+    for _ in range(count):
+        u = BitSeq(bytes(rng.random() < p_one for _ in range(k - 1)))
+        h.update(str(encode_message(u, k, r)).encode() + b"\n")
+    assert h.hexdigest() == digest

@@ -1,4 +1,6 @@
 """Replacement front-end, its padding word, and the NRZI transform."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from rllindel.front import (
     FrontParams,
     _wi_decode,
     _wi_encode,
+    feasibility_bound,
     front_decode,
     front_encode,
     nrzi_decode,
@@ -17,6 +20,7 @@ from rllindel.front import (
     wi_decode,
     wi_encode,
 )
+from rllindel.oracle import reference_wi_encode
 
 
 class TestOmega:
@@ -117,6 +121,46 @@ class TestReplacement:
         assert bytes(x) == bytes([0, 0, 1, 1, 0])
         with pytest.raises(DataError, match="sentinel"):
             _wi_decode(bytes(x), 5, 3)
+
+
+class TestResumedSearchMatchesReference:
+    """The resumed search against oracle.reference_wi_encode, which restarts at symbol 0."""
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_every_message_at_every_accepted_length(self, r):
+        for k in range(2, feasibility_bound(r) - 1):
+            FrontParams(k, r)
+            for mask in range(1 << (k - 1)):
+                data = bytes((mask >> i) & 1 for i in range(k - 1))
+                assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
+
+    @pytest.mark.parametrize("p_one", [1 / 2, 1 / 4, 1 / 16, 1 / 64])
+    @pytest.mark.parametrize("k, r", [(7, 5), (30, 5), (63, 6), (257, 8), (500, 12), (4000, 12)])
+    def test_seeded_messages(self, k, r, p_one):
+        rng = random.Random(f"{k} {r} {p_one}")
+        for _ in range(max(20, 2000 // k)):
+            data = bytes(rng.random() < p_one for _ in range(k - 1))
+            assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
+
+    @pytest.mark.parametrize(
+        "message, word",
+        [
+            # the replacement at index 5 pulls the final 1s left against the
+            # four zeros before it: the next forbidden word starts at 5 - r = 1
+            ("100000000111", "1110011010100"),
+            # the third forbidden word lies wholly in the appended pointers
+            # (the end of pointer 6 and all of pointer 8) and starts right of
+            # the second, which straddled the message and pointer 6
+            ("010000100000", "0100110011000"),
+            # end case: the message ends in 0^r, so the sentinel ends the
+            # forbidden word and the zeros become the marker 100
+            ("111111110000", "1111111110010"),
+        ],
+    )
+    def test_pinned_vectors_at_k13_r4(self, message, word):
+        data = BitSeq(message).tobytes()
+        assert BitSeq(word).tobytes() == reference_wi_encode(data, 13, 4)
+        assert str(wi_encode(BitSeq(message), FrontParams(13, 4))) == word
 
 
 class TestNrzi:
