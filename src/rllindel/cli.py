@@ -24,7 +24,7 @@ from .channel import DELETION, INSERTION, apply_event, log_line, random_event, t
 from .code import derive_params, embed_encode, params_text, raw_params
 from .decoder import correct, decode_message
 from .errors import DataError, ValidationError
-from .front import FrontParams, front_encode
+from .front import cached_front_params, front_encode
 from .oracle import (
     DEFAULT_SAMPLE_SEED,
     Report,
@@ -75,7 +75,7 @@ def _cmd_encode(args) -> int:
         def transform(number: int, text: str) -> None:
             print(embed_encode(cp, BitSeq.parse(text)))
     else:
-        fp = FrontParams(args.k, args.r)
+        fp = cached_front_params(args.k, args.r)
 
         def transform(number: int, text: str) -> None:
             print(embed_encode(cp, front_encode(BitSeq.parse(text), fp)))
@@ -89,7 +89,7 @@ def _cmd_decode(args) -> int:
             print(correct(cp, BitSeq.parse(text))[cp.m :])
     else:
         # constructed eagerly so infeasible (k, r) fail before any input is read
-        FrontParams(args.k, args.r)
+        cached_front_params(args.k, args.r)
 
         def transform(number: int, text: str) -> None:
             print(decode_message(cp, BitSeq.parse(text)))

@@ -9,12 +9,15 @@ code corrects codewords, not edit positions. Two surviving candidates that are
 distinct words would contradict the monotonicity guarantee and raise
 InvariantError.
 
-The search is closed-form rather than a scan of every edit. Sum the received
-word's weight S once at C level and work modulo M = a_(n+1). A codeword one
-edit away differs from S by E = (b - S) mod M for an insertion, or by -E with
-E = (S - b) mod M for a deletion. An edit at (1-based) position i changes the
-weight by the edited symbol's own coefficient a_i, plus, for each 1 after the
-edit, the step a_(j+1) - a_j it crosses when it shifts one place:
+The search is closed-form rather than a scan of every edit. Pack the received
+word one bit per symbol, take its weight S from that int (code._sliced_sum:
+O(log n) masked popcounts; below 150 symbols one C-level pass over the
+coefficients is cheaper and is used instead) and work modulo M = a_(n+1). A
+codeword one edit away differs from S by E = (b - S) mod M for an insertion,
+or by -E with E = (S - b) mod M for a deletion. An edit at (1-based)
+position i changes the weight by the edited symbol's own coefficient a_i,
+plus, for each 1 after the edit, the step a_(j+1) - a_j it crosses when it
+shifts one place:
 
 * Head, i < r_hat + 2. These r_hat + 1 positions are the only ones whose
   shifted suffix crosses a step other than 1, so each is tried directly,
@@ -35,16 +38,17 @@ reaches the end removes exactly a_(n+1) = M. So the deletion branch tries
 both E and E + M for a removed 1. An inserted or removed 0 and an inserted 1
 always change the weight by less than M.
 
-A correction costs O(n) C-level work plus O(r_hat + log n) Python steps. The
-plain O(n) scan over every edit lives in oracle.reference_candidates, which
-the tests compare against this search.
+A correction costs one O(n) C-level pack of the word, O(log n) big-int ANDs,
+shifts and popcounts, and O(r_hat + log n) Python steps. The plain O(n) scan
+over every edit lives in oracle.reference_candidates, which the tests compare
+against this search.
 """
 from __future__ import annotations
 
 from itertools import compress
 
 from .bitseq import _TO_ASCII, BitSeq
-from .code import CodeParams, _coefficients, is_codeword
+from .code import _SLICED_FROM_PACKED, CodeParams, _coefficients, _sliced_sum, is_codeword
 from .errors import DataError, InvariantError, UncorrectableError
 from .front import cached_front_params, front_decode
 
@@ -71,10 +75,13 @@ def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
     coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
     modulus = cp.modulus
     length = len(data)
-    weight = sum(compress(coeffs, data))
     # one bit per symbol: a shift and a popcount then count the ones of any
     # prefix without a data-dependent branch per symbol
     packed = int(data.translate(_TO_ASCII), 2)
+    if length < _SLICED_FROM_PACKED:
+        weight = sum(compress(coeffs, data))
+    else:
+        weight = _sliced_sum(cp, data, packed)
     ones = packed.bit_count()
     # 0-based index lo is position r_hat + 2; from there on coeffs[p] = base + p
     lo = cp.r_hat + 1

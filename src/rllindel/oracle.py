@@ -28,7 +28,7 @@ from .code import (
 )
 from .decoder import decode_message
 from .errors import CodecError, InvariantError, ValidationError
-from .front import _FORBIDDEN_ONE, FrontParams, front_encode, omega, wi_decode, wi_encode
+from .front import _FORBIDDEN_ONE, cached_front_params, front_encode, omega, wi_decode, wi_encode
 
 DEFAULT_SAMPLE_TRIALS = 100_000
 DEFAULT_SAMPLE_SEED = 0x1D5EED
@@ -281,7 +281,7 @@ def check_front_roundtrip(k: int, r: int) -> Report:
     Asserts output length, the zero-run constraint, pairwise distinctness, and
     decode-encode identity over all 2^(k-1) messages.
     """
-    fp = FrontParams(k, r)
+    fp = cached_front_params(k, r)
     if k > _ROUNDTRIP_CAP:
         raise ValidationError(
             f"exhaustive round-trip check is capped at k = {_ROUNDTRIP_CAP} (got k={k})"
@@ -336,7 +336,7 @@ def check_channel_campaign(
     with equal arguments must render byte-identically.
     """
     cp = derive_params(k, r, d, b)
-    fp = FrontParams(k, r)
+    fp = cached_front_params(k, r)
     digest = hashlib.sha256()
     failures = 0
     counterexample = None

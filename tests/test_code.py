@@ -1,14 +1,19 @@
 """Parameter derivation, coefficient sequence, and the congruence embedder."""
 import hashlib
 import random
+from itertools import compress, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllindel.bitseq import BitSeq, is_rll
+from rllindel.bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, is_rll
 from rllindel.code import (
+    _SLICED_FROM,
+    _SLICED_FROM_PACKED,
     CodeParams,
+    _coefficients,
+    _sliced_sum,
     coefficient_value,
     d_range,
     derive_params,
@@ -63,7 +68,7 @@ class TestDeriveParams:
         assert derive_params(14, 5, d=5).d == 5
 
     def test_rejects_k_beyond_pipeline_bound(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="r_hat"):
             derive_params(16, 4)
         assert derive_params(16, 5).n == 24
 
@@ -144,6 +149,80 @@ class TestWeightedSum:
                         full.n, full.r_hat, full.d, full.b, full.modulus
                     )
         assert r_hat_seen == {4, 5, 6}
+
+
+def _reference_sum(cp, data, start=0):
+    """The compress pass that _sliced_sum replaces above the length thresholds."""
+    return sum(compress(islice(_coefficients(cp.n, cp.r_hat, cp.d), start, None), data))
+
+
+def _check_sliced(cp, data, start=0):
+    packed = int(data.translate(_TO_ASCII), 2)
+    assert _sliced_sum(cp, data, packed, start) == _reference_sum(cp, data, start)
+
+
+def _summed_lengths(cp):
+    """(data length, start) pairs the codec sums: words one indel off, codewords, sigma."""
+    pairs = [(cp.n - 1, 0), (cp.n, 0), (cp.n + 1, 0), (cp.k, cp.m)]
+    return [(length, start) for length, start in pairs if length >= 1]
+
+
+# code lengths straddling both thresholds, plus the longest benchmarked block
+STRADDLING = sorted(
+    {n for t in (_SLICED_FROM, _SLICED_FROM_PACKED) for n in range(t - 2, t + 3)} | {4015}
+)
+
+
+class TestSlicedSum:
+    """_sliced_sum against sum(compress(islice(coefficients, start, None), data))."""
+
+    @pytest.mark.parametrize("r_hat", [4, 5, 6])
+    def test_every_length_to_64(self, r_hat):
+        rng = random.Random(r_hat)
+        for d in d_range(r_hat):
+            for n in range(1, 65):
+                cp = raw_params(n, r_hat, d)
+                for length, start in _summed_lengths(cp):
+                    for data in (
+                        b"\x00" * length,
+                        b"\x01" * length,
+                        bytes(rng.getrandbits(1) for _ in range(length)),
+                    ):
+                        _check_sliced(cp, data, start)
+
+    @pytest.mark.parametrize("r_hat", [4, 5, 6, 7])
+    def test_every_word_at_the_head_boundary(self, r_hat):
+        # the head ends at length r_hat + 1; at r_hat + 2 one affine symbol follows
+        d = d_range(r_hat)[0]
+        for length in (r_hat + 1, r_hat + 2):
+            for n in (length - 1, length, length + 1):
+                cp = raw_params(n, r_hat, d)
+                for mask in range(1 << length):
+                    _check_sliced(cp, format(mask, f"0{length}b").encode().translate(_FROM_ASCII))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_straddling_the_thresholds(self, data):
+        n = data.draw(st.sampled_from(STRADDLING))
+        r_hat = data.draw(st.integers(min_value=4, max_value=12))
+        cp = raw_params(n, r_hat, data.draw(st.integers(*d_range(r_hat))))
+        length, start = data.draw(st.sampled_from(_summed_lengths(cp)))
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+        _check_sliced(cp, format(mask, f"0{length}b").encode().translate(_FROM_ASCII), start)
+
+    def test_mu_and_sigma_either_side_of_the_threshold(self):
+        # at r = 8, k = 186 .. 205 gives n = 197 .. 216: mu and the parity
+        # sigma each switch to the sliced sum inside this band
+        rng = random.Random(8)
+        for k in range(_SLICED_FROM - 14, _SLICED_FROM + 6):
+            cp = derive_params(k, 8, b=rng.randrange(256 + k + 2))
+            y = BitSeq(bytes(rng.getrandbits(1) for _ in range(k)))
+            z = BitSeq(bytes(rng.getrandbits(1) for _ in range(cp.n)))
+            assert mu(cp, z) == _reference_sum(cp, z.tobytes())
+            for p_rhat in (0, 1):
+                for p_m in (0, 1):
+                    w = parity_word(cp, p_rhat, p_m, y) + y
+                    assert _reference_sum(cp, w.tobytes()) % cp.modulus == cp.b
 
 
 class TestParity:
