@@ -120,36 +120,6 @@ def _check_symbols(data: bytes) -> None:
                 raise DataError(f"symbol at position {pos} is {value}, expected 0 or 1")
 
 
-def max_run_length(s: BitSeq) -> int:
-    """Length of the longest block of equal consecutive symbols (0 for the null word)."""
-    best = 0
-    cur = 0
-    prev = -1
-    for b in s._data:
-        if b == prev:
-            cur += 1
-        else:
-            prev = b
-            cur = 1
-        if cur > best:
-            best = cur
-    return best
-
-
-def max_zero_run(s: BitSeq) -> int:
-    """Length of the longest block of consecutive 0 symbols (0 if there are none)."""
-    best = 0
-    cur = 0
-    for b in s._data:
-        if b:
-            cur = 0
-        else:
-            cur += 1
-            if cur > best:
-                best = cur
-    return best
-
-
 def is_rll(s: BitSeq, r: int) -> bool:
     """True iff no run in s is longer than r."""
     if r < 1:

@@ -40,8 +40,8 @@ always change the weight by less than M.
 
 A correction costs one O(n) C-level pack of the word, O(log n) big-int ANDs,
 shifts and popcounts, and O(r_hat + log n) Python steps. The plain O(n) scan
-over every edit lives in oracle.reference_candidates, which the tests compare
-against this search.
+over every edit lives in tests/reference.py, which the tests compare against
+this search.
 """
 from __future__ import annotations
 

@@ -32,8 +32,8 @@ and the sentinel. Every symbol is searched a bounded number of times, apart
 from the O(r) symbols around each replacement, so s replacements cost
 O(k + s*r) C-level search work plus O(s) Python steps; each deletion also
 closes its gap with one C-level memmove of the word's tail.
-oracle.reference_wi_encode keeps the restart-from-symbol-0 loop as the
-reference the tests compare this encoder against.
+tests/reference.py keeps the restart-from-symbol-0 loop as the reference
+the tests compare this encoder against.
 
 Decodability bound: the decoder parses the replacement count from the right,
 greedily stripping (1^(r-1) 0) blocks and then zeros. For k >= 2^r + r - 6
@@ -187,25 +187,23 @@ def wi_decode(x: BitSeq, fp: FrontParams) -> BitSeq:
 def nrzi_encode(x: BitSeq) -> BitSeq:
     """Transition coding: y_1 = x_1, y_i = y_(i-1) xor x_i.
 
-    A prefix XOR over the word packed one symbol per byte: after the shifts by
-    1, 2, 4, ... bytes, byte i holds the XOR of bytes 0..i.
+    A prefix XOR over the word packed one symbol per byte, first symbol in the
+    top byte: after the right shifts by 1, 2, 4, ... bytes, byte i holds the
+    XOR of bytes 0..i, and the int never grows past the word's 8n bits.
     """
     size = len(x)
-    v = int.from_bytes(x.tobytes(), "little")
+    v = int.from_bytes(x.tobytes(), "big")
     shift = 8
     while shift < 8 * size:
-        v ^= v << shift
+        v ^= v >> shift
         shift <<= 1
-    mask = (1 << 8 * size) - 1
-    return BitSeq._wrap((v & mask).to_bytes(size, "little"))
+    return BitSeq._wrap(v.to_bytes(size, "big"))
 
 
 def nrzi_decode(y: BitSeq) -> BitSeq:
     """Inverse transition coding: x_1 = y_1, x_i = y_(i-1) xor y_i."""
-    size = len(y)
-    v = int.from_bytes(y.tobytes(), "little")
-    mask = (1 << 8 * size) - 1
-    return BitSeq._wrap(((v ^ (v << 8)) & mask).to_bytes(size, "little"))
+    v = int.from_bytes(y.tobytes(), "big")
+    return BitSeq._wrap((v ^ (v >> 8)).to_bytes(len(y), "big"))
 
 
 def front_encode(u: BitSeq, fp: FrontParams) -> BitSeq:

@@ -8,13 +8,17 @@ requests fail instead of silently sampling.
 Reports render as two text lines: a human-readable
 `CHECK <name> <params> PASS|FAIL [counterexample]` line and a machine-readable
 `key=value` summary line.
+
+The channel campaign can split its trials into contiguous index blocks and
+run them in forked child processes at once. Every trial seeds itself from
+(base seed, index), and the parent joins the blocks' results in index order,
+so the report, digest included, is the same however many blocks run.
 """
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
-from operator import add, mul
 
 from .bitseq import BitSeq, is_rll, is_zero_constrained, le_encode
 from .channel import Stream, apply_event, log_line, random_event, trial_seed
@@ -28,7 +32,7 @@ from .code import (
 )
 from .decoder import decode_message
 from .errors import CodecError, InvariantError, ValidationError
-from .front import _FORBIDDEN_ONE, cached_front_params, front_encode, omega, wi_decode, wi_encode
+from .front import FrontParams, cached_front_params, front_encode, wi_decode, wi_encode
 
 DEFAULT_SAMPLE_TRIALS = 100_000
 DEFAULT_SAMPLE_SEED = 0x1D5EED
@@ -108,71 +112,6 @@ def enumerate_codewords(params: CodeParams) -> list[BitSeq]:
             rest ^= low
         if total % modulus == b:
             out.append(le_encode(mask, n)[::-1])  # most significant symbol first
-    return out
-
-
-def reference_candidates(cp, data: bytes) -> set[bytes]:
-    """All codewords one insertion or deletion away from data, by scanning every edit.
-
-    data has length n-1 (a symbol was lost: try inserting 0 and 1 before each
-    index) or n+1 (a symbol was gained: try deleting each one). A candidate's
-    weight is the prefix before the edit at its own coefficients, plus the
-    inserted symbol, plus the suffix after the edit at coefficients shifted one
-    place, so the scan is O(n). This is the reference that
-    decoder.candidates is tested against.
-    """
-    coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
-    length = len(data)
-    grow = length < cp.n
-    # pre[p]: weight of data[:p] in place
-    pre = [0, *accumulate(map(mul, coeffs, data))]
-    # rest[p]: weight of data[p:] moved one place right (grow) or left
-    moved = coeffs[1:] if grow else (0, *coeffs)
-    rest = [*accumulate(map(mul, moved[length - 1 :: -1], data[::-1]))][::-1] + [0]
-    out: set[bytes] = set()
-    if grow:
-        for p, weight in enumerate(map(add, pre, rest)):
-            if weight % cp.modulus == cp.b:
-                out.add(data[:p] + b"\x00" + data[p:])
-            if (weight + coeffs[p]) % cp.modulus == cp.b:
-                out.add(data[:p] + b"\x01" + data[p:])
-    else:
-        for p, weight in enumerate(map(add, pre, rest[1:])):
-            if weight % cp.modulus == cp.b:
-                out.add(data[:p] + data[p + 1 :])
-    return out
-
-
-def reference_wi_encode(data: bytes, k: int, r: int) -> bytes:
-    """The replacement front end, restarting its search at symbol 0 after every replacement.
-
-    Each search runs over a fresh copy of the working word with the sentinel
-    appended, so s replacements cost O(s k). This is the reference that
-    front._wi_encode, which resumes its search instead, is tested against.
-    """
-    pattern = b"\x00" * r + _FORBIDDEN_ONE
-    v = bytearray(data)
-    s = 0
-    while True:
-        idx = bytes(v + _FORBIDDEN_ONE).find(pattern)
-        if idx < 0:
-            break
-        if s >= k:
-            raise InvariantError(
-                f"replacement loop overran s={s} at (k={k}, r={r}); parameters must be rejected"
-            )
-        p = idx + 1
-        if p + r <= len(v):
-            del v[idx : idx + r + 1]
-            v.extend(le_encode(p + 3, r).tobytes())
-        else:
-            del v[idx:]
-            v.append(1)
-            v.extend(b"\x00" * (r - 2))
-        s += 1
-    out = bytes(v) + _FORBIDDEN_ONE + omega(s, r - 1).tobytes()
-    if len(out) != k:
-        raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
     return out
 
 
@@ -327,22 +266,52 @@ def check_channel_campaign(
     base_seed: int,
     d: int | None = None,
     b: int | None = None,
+    jobs: int = 1,
 ) -> Report:
     """Seeded end-to-end trials: encode, corrupt with one random indel, decode.
 
     Each trial derives its own stream from (base_seed, index), draws a random
     message, transmits it through the channel, and checks message recovery.
-    The report digest hashes every event-log line and outcome, so two runs
-    with equal arguments must render byte-identically.
+    The report digest hashes every event-log line and outcome in trial order,
+    so two runs with equal arguments must render byte-identically.
+
+    jobs > 1 splits the trial indices into that many contiguous blocks and
+    runs every block but the last in a child forked with os.fork (POSIX
+    only; call it from a process without other threads), the last in this
+    process. The blocks' log text is hashed in index order, their failures
+    summed and the lowest-index counterexample kept, so the report is the
+    same for every jobs. A block whose child fails is run again in this
+    process, so a trial that raises surfaces exactly as in a serial run.
     """
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1 (got jobs={jobs})")
     cp = derive_params(k, r, d, b)
     fp = cached_front_params(k, r)
+    bounds = [(trials * j // jobs, trials * (j + 1) // jobs) for j in range(jobs)]
     digest = hashlib.sha256()
     failures = 0
     counterexample = None
-    for index in range(trials):
+    for text, block_failures, first in _campaign_blocks(cp, fp, base_seed, bounds):
+        digest.update(text.encode())
+        failures += block_failures
+        counterexample = counterexample or first
+    return Report(
+        name="channel-campaign",
+        params={"k": k, "r": r, "d": cp.d, "b": cp.b, "seed": base_seed},
+        passed=failures == 0,
+        counterexample=counterexample,
+        stats={"trials": trials, "failures": failures, "digest": digest.hexdigest()},
+    )
+
+
+def _campaign_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi: int):
+    """Trials lo..hi-1: (their digest lines as one text, failure count, first counterexample)."""
+    lines = []
+    failures = 0
+    counterexample = None
+    for index in range(lo, hi):
         stream = Stream(trial_seed(base_seed, index))
-        u = _random_word(stream, k - 1)
+        u = _random_word(stream, fp.k - 1)
         z = embed_encode(cp, front_encode(u, fp))
         event = random_event(cp.n, stream.next())
         received = apply_event(z, event)
@@ -354,11 +323,74 @@ def check_channel_campaign(
             failures += 1
             if counterexample is None:
                 counterexample = f"trial={index} u={u} event=({log_line(event)})"
-        digest.update(f"{index} {log_line(event)} {int(ok)}\n".encode())
-    return Report(
-        name="channel-campaign",
-        params={"k": k, "r": r, "d": cp.d, "b": cp.b, "seed": base_seed},
-        passed=failures == 0,
-        counterexample=counterexample,
-        stats={"trials": trials, "failures": failures, "digest": digest.hexdigest()},
-    )
+        lines.append(f"{index} {log_line(event)} {int(ok)}\n")
+    return "".join(lines), failures, counterexample
+
+
+def _campaign_blocks(cp: CodeParams, fp: FrontParams, base_seed: int, bounds: list) -> list:
+    """_campaign_block over each (lo, hi) of bounds, in order; all but the last run forked."""
+    pending = []  # (pid, pipe read end), or None where no child started, in block order
+    try:
+        for lo, hi in bounds[:-1]:
+            pending.append(_fork_block(cp, fp, base_seed, lo, hi))
+        try:
+            last = _campaign_block(cp, fp, base_seed, *bounds[-1])
+        except Exception as exc:  # raised below, unless an earlier block raises first
+            last = exc
+        outputs = []
+        while pending:
+            child = pending.pop(0)
+            outputs.append(child and _collect(*child))
+    finally:
+        for child in filter(None, pending):
+            os.close(child[1])
+            os.waitpid(child[0], 0)
+    results = []
+    for (lo, hi), data in zip(bounds, outputs):
+        if data is None:
+            # no result from a child: run the block here, so a trial's exception surfaces
+            results.append(_campaign_block(cp, fp, base_seed, lo, hi))
+        else:
+            failures, first, text = data.split("\n", 2)
+            results.append((text, int(failures), first or None))
+    if isinstance(last, Exception):
+        raise last
+    results.append(last)
+    return results
+
+
+def _fork_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi: int):
+    """(pid, pipe read end) of a child running _campaign_block(lo, hi), or None if none started."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            text, failures, first = _campaign_block(cp, fp, base_seed, lo, hi)
+            with open(wfd, "wb") as pipe:
+                pipe.write(f"{failures}\n{first or ''}\n{text}".encode())
+            status = 0
+        finally:
+            # the child never returns into its caller (a forked test runner must not run on)
+            os._exit(status)
+    os.close(wfd)
+    return pid, rfd
+
+
+def _collect(pid: int, fd: int) -> str | None:
+    """What a child wrote to its pipe, or None if it failed; closes the pipe and reaps the child."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data.decode() if status == 0 else None

@@ -1,0 +1,113 @@
+"""Simple reference implementations that the tests compare the codec against.
+
+Each function here is the plain, slow form of something the package does
+faster: the O(n) scan over every edit that decoder.candidates replaces, the
+restart-from-symbol-0 replacement loop that front._wi_encode replaces, and
+the run statistics the run-limit predicates are checked against. The package
+never imports this module.
+"""
+from __future__ import annotations
+
+from itertools import accumulate
+from operator import add, mul
+
+from rllindel.bitseq import BitSeq, le_encode
+from rllindel.code import _coefficients
+from rllindel.errors import InvariantError
+from rllindel.front import _FORBIDDEN_ONE, omega
+
+
+def reference_candidates(cp, data: bytes) -> set[bytes]:
+    """All codewords one insertion or deletion away from data, by scanning every edit.
+
+    data has length n-1 (a symbol was lost: try inserting 0 and 1 before each
+    index) or n+1 (a symbol was gained: try deleting each one). A candidate's
+    weight is the prefix before the edit at its own coefficients, plus the
+    inserted symbol, plus the suffix after the edit at coefficients shifted one
+    place, so the scan is O(n). This is the reference that
+    decoder.candidates is tested against.
+    """
+    coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
+    length = len(data)
+    grow = length < cp.n
+    # pre[p]: weight of data[:p] in place
+    pre = [0, *accumulate(map(mul, coeffs, data))]
+    # rest[p]: weight of data[p:] moved one place right (grow) or left
+    moved = coeffs[1:] if grow else (0, *coeffs)
+    rest = [*accumulate(map(mul, moved[length - 1 :: -1], data[::-1]))][::-1] + [0]
+    out: set[bytes] = set()
+    if grow:
+        for p, weight in enumerate(map(add, pre, rest)):
+            if weight % cp.modulus == cp.b:
+                out.add(data[:p] + b"\x00" + data[p:])
+            if (weight + coeffs[p]) % cp.modulus == cp.b:
+                out.add(data[:p] + b"\x01" + data[p:])
+    else:
+        for p, weight in enumerate(map(add, pre, rest[1:])):
+            if weight % cp.modulus == cp.b:
+                out.add(data[:p] + data[p + 1 :])
+    return out
+
+
+def reference_wi_encode(data: bytes, k: int, r: int) -> bytes:
+    """The replacement front end, restarting its search at symbol 0 after every replacement.
+
+    Each search runs over a fresh copy of the working word with the sentinel
+    appended, so s replacements cost O(s k). This is the reference that
+    front._wi_encode, which resumes its search instead, is tested against.
+    """
+    pattern = b"\x00" * r + _FORBIDDEN_ONE
+    v = bytearray(data)
+    s = 0
+    while True:
+        idx = bytes(v + _FORBIDDEN_ONE).find(pattern)
+        if idx < 0:
+            break
+        if s >= k:
+            raise InvariantError(
+                f"replacement loop overran s={s} at (k={k}, r={r}); parameters must be rejected"
+            )
+        p = idx + 1
+        if p + r <= len(v):
+            del v[idx : idx + r + 1]
+            v.extend(le_encode(p + 3, r).tobytes())
+        else:
+            del v[idx:]
+            v.append(1)
+            v.extend(b"\x00" * (r - 2))
+        s += 1
+    out = bytes(v) + _FORBIDDEN_ONE + omega(s, r - 1).tobytes()
+    if len(out) != k:
+        raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
+    return out
+
+
+
+def max_run_length(s: BitSeq) -> int:
+    """Length of the longest block of equal consecutive symbols (0 for the null word)."""
+    best = 0
+    cur = 0
+    prev = -1
+    for b in s._data:
+        if b == prev:
+            cur += 1
+        else:
+            prev = b
+            cur = 1
+        if cur > best:
+            best = cur
+    return best
+
+
+def max_zero_run(s: BitSeq) -> int:
+    """Length of the longest block of consecutive 0 symbols (0 if there are none)."""
+    best = 0
+    cur = 0
+    for b in s._data:
+        if b:
+            cur = 0
+        else:
+            cur += 1
+            if cur > best:
+                best = cur
+    return best

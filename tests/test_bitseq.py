@@ -9,10 +9,10 @@ from rllindel.bitseq import (
     is_zero_constrained,
     le_decode,
     le_encode,
-    max_run_length,
-    max_zero_run,
 )
 from rllindel.errors import DataError, ValidationError
+
+from reference import max_run_length, max_zero_run
 
 bits = st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=64)
 

@@ -12,7 +12,9 @@ from rllindel.code import d_range, derive_params, embed_encode, encode_message
 from rllindel.decoder import candidates, correct, decode_message
 from rllindel.errors import DataError, UncorrectableError
 from rllindel.front import FrontParams, front_encode
-from rllindel.oracle import enumerate_codewords, reference_candidates
+from rllindel.oracle import enumerate_codewords
+
+from reference import reference_candidates
 
 CP = derive_params(13, 4, d=6, b=9)
 FP = FrontParams(13, 4)

@@ -1,11 +1,13 @@
 """Replacement front-end, its padding word, and the NRZI transform."""
 import random
+from itertools import accumulate
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllindel.bitseq import BitSeq, is_rll, is_zero_constrained, max_run_length
+from rllindel.bitseq import BitSeq, is_rll, is_zero_constrained
 from rllindel.errors import DataError, ValidationError
 from rllindel.front import (
     FrontParams,
@@ -20,7 +22,8 @@ from rllindel.front import (
     wi_decode,
     wi_encode,
 )
-from rllindel.oracle import reference_wi_encode
+
+from reference import max_run_length, reference_wi_encode
 
 
 class TestOmega:
@@ -124,7 +127,7 @@ class TestReplacement:
 
 
 class TestResumedSearchMatchesReference:
-    """The resumed search against oracle.reference_wi_encode, which restarts at symbol 0."""
+    """The resumed search against reference.reference_wi_encode, which restarts at symbol 0."""
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_every_message_at_every_accepted_length(self, r):
@@ -186,6 +189,15 @@ class TestNrzi:
         running = [raw[0]] if raw else []
         for bit in raw[1:]:
             running.append(running[-1] ^ bit)
+        assert nrzi_encode(BitSeq(raw)) == BitSeq(running)
+        assert nrzi_decode(BitSeq(running)) == BitSeq(raw)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([*range(1, 71), 4015]), st.randoms(use_true_random=False))
+    def test_matches_running_xor_at_short_lengths_and_n4015(self, n, rng):
+        # n = 4015 is the codeword length at k = 4000, r = 12
+        raw = [rng.getrandbits(1) for _ in range(n)]
+        running = list(accumulate(raw, xor))
         assert nrzi_encode(BitSeq(raw)) == BitSeq(running)
         assert nrzi_decode(BitSeq(running)) == BitSeq(raw)
 

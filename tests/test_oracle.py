@@ -1,12 +1,15 @@
 """Brute-force oracles: enumeration, disjointness, and the report format."""
+import os
 from pathlib import Path
 
 import pytest
 
+from rllindel import oracle
 from rllindel.bitseq import BitSeq, is_rll
-from rllindel.channel import Stream, trial_seed
-from rllindel.code import raw_params
-from rllindel.errors import ValidationError
+from rllindel.channel import Stream, apply_event, random_event, trial_seed
+from rllindel.code import derive_params, embed_encode, raw_params
+from rllindel.errors import DataError, InvariantError, ValidationError
+from rllindel.front import cached_front_params, front_encode
 from rllindel.oracle import (
     Report,
     _random_word,
@@ -167,6 +170,89 @@ class TestChannelCampaign:
         a = check_channel_campaign(13, 4, 200, 5)
         b = check_channel_campaign(13, 4, 200, 6)
         assert a.stats["digest"] != b.stats["digest"]
+
+
+def trial_words(k, r, base_seed, index):
+    """The words trial index of a campaign hands to the embedder and to the decoder."""
+    cp = derive_params(k, r)
+    stream = Stream(trial_seed(base_seed, index))
+    y = front_encode(_random_word(stream, k - 1), cached_front_params(k, r))
+    return y, apply_event(embed_encode(cp, y), random_event(cp.n, stream.next()))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShardedCampaign:
+    """jobs > 1 forks contiguous trial blocks; the report must not depend on jobs."""
+
+    @pytest.mark.parametrize("trials", [0, 1, 2, 301])
+    def test_render_is_the_same_for_every_jobs(self, trials):
+        serial = check_channel_campaign(13, 4, trials, 9, jobs=1).render()
+        for jobs in (2, 3):
+            assert check_channel_campaign(13, 4, trials, 9, jobs=jobs).render() == serial
+            assert_no_child_left()
+
+    def test_failures_straddling_block_boundaries(self, monkeypatch):
+        # 301 trials split at 150 (jobs=2) and at 100 and 200 (jobs=3)
+        bad = {trial_words(60, 6, 4, i)[1]: i for i in (99, 100, 149, 150, 200)}
+        decode = oracle.decode_message
+
+        def faulty(cp, received):
+            index = bad.get(received)
+            if index is None:
+                return decode(cp, received)
+            if index % 2:
+                raise DataError(f"injected failure at trial {index}")
+            return decode(cp, received)[::-1]
+
+        monkeypatch.setattr(oracle, "decode_message", faulty)
+        serial = check_channel_campaign(60, 6, 301, 4)
+        assert serial.stats["failures"] == 5
+        assert serial.counterexample.startswith("trial=99 ")
+        for jobs in (2, 3):
+            report = check_channel_campaign(60, 6, 301, 4, jobs=jobs)
+            assert_no_child_left()
+            assert report.stats["failures"] == serial.stats["failures"]
+            assert report.counterexample == serial.counterexample
+            assert report.render() == serial.render()
+
+    def test_exception_in_a_middle_block_surfaces_as_in_a_serial_run(self, monkeypatch):
+        # an encoder fault is not a decoding failure: it ends the campaign.
+        # Trial 150 sits in the middle of three blocks; trial 250 in the last,
+        # which this process runs itself, raises too but must not win
+        raising = {trial_words(60, 6, 4, i)[0]: i for i in (150, 250)}
+        embed = oracle.embed_encode
+
+        def faulty(cp, y):
+            if y in raising:
+                raise InvariantError(f"injected at trial {raising[y]}")
+            return embed(cp, y)
+
+        monkeypatch.setattr(oracle, "embed_encode", faulty)
+        with pytest.raises(InvariantError) as serial:
+            check_channel_campaign(60, 6, 301, 4)
+        assert str(serial.value) == "injected at trial 150"
+        for jobs in (2, 3):
+            with pytest.raises(InvariantError) as sharded:
+                check_channel_campaign(60, 6, 301, 4, jobs=jobs)
+            assert_no_child_left()
+            assert str(sharded.value) == str(serial.value)
+
+    def test_block_whose_fork_fails_runs_here(self, monkeypatch):
+        serial = check_channel_campaign(13, 4, 301, 9).render()
+
+        def no_fork():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(oracle.os, "fork", no_fork)
+        assert check_channel_campaign(13, 4, 301, 9, jobs=3).render() == serial
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValidationError):
+            check_channel_campaign(13, 4, 10, 1, jobs=0)
 
 
 class TestRandomWord:
