@@ -17,7 +17,7 @@ C3.lower, and only for the narrowest band. That single point is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitseq import BitSeq, is_rll, le_encode
 from .code import CodeParams, coefficient_value, d_range
@@ -57,23 +57,28 @@ def psi(n: float) -> float:
     return 2.0**n - 2.0 - 2.0 * (n - 1) * _LN2
 
 
-@dataclass(frozen=True)
-class AnalysisRow:
-    """One CSV row: fixed redundancy of the construction against the bound."""
-
+class _RowFields(NamedTuple):
     n: int
     r_hat: int
     redundancy: int
     phi: float
     gap: float
 
-    def __post_init__(self) -> None:
+
+class AnalysisRow(_RowFields):
+    """One CSV row: fixed redundancy of the construction against the bound."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "AnalysisRow":
+        self = super().__new__(cls, *args, **kwargs)
         if self.redundancy != self.r_hat + 4:
             raise InvariantError(
                 f"redundancy {self.redundancy} != r_hat + 4 = {self.r_hat + 4}"
             )
         if abs(self.gap - (self.redundancy - self.phi)) > 1e-6:
             raise InvariantError("gap is not redundancy - phi")
+        return self
 
 
 def redundancy_row(n: int) -> AnalysisRow:
@@ -128,14 +133,7 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
 _EXPECTED_COLLISIONS: dict[int, tuple[tuple[int, int, int], ...]] = {4: ((14, 5, 32),)}
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Result of one collision sweep: interval geometry plus any residue hits.
-
-    collisions holds (k, d, A) triples with A a multiple of the modulus for
-    that k; d_interval is the modulus range over the swept band.
-    """
-
+class _GapFields(NamedTuple):
     r_hat: int
     c1: tuple[int, int]
     c2: tuple[int, int]
@@ -144,7 +142,18 @@ class GapReport:
     disjoint: bool
     collisions: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
+
+class GapReport(_GapFields):
+    """Result of one collision sweep: interval geometry plus any residue hits.
+
+    collisions holds (k, d, A) triples with A a multiple of the modulus for
+    that k; d_interval is the modulus range over the swept band.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GapReport":
+        self = super().__new__(cls, *args, **kwargs)
         for name, (lo, hi) in (
             ("c1", self.c1),
             ("c2", self.c2),
@@ -155,6 +164,7 @@ class GapReport:
                 raise InvariantError(f"interval {name} is empty: ({lo}, {hi})")
         if self.disjoint != (len(self.collisions) == 0):
             raise InvariantError("disjoint flag disagrees with the collision list")
+        return self
 
     def chain_holds(self) -> bool:
         """Interval chain with the boundary touch exactly at the narrowest band."""

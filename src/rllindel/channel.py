@@ -13,7 +13,7 @@ distributed across workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitseq import BitSeq
 from .errors import DataError, ValidationError
@@ -63,8 +63,13 @@ def trial_seed(base_seed: int, index: int) -> int:
     return mix64((base_seed + (index + 1) * _GOLDEN) & _MASK)
 
 
-@dataclass(frozen=True)
-class ChannelEvent:
+class _EventFields(NamedTuple):
+    kind: str
+    position: int
+    symbol: int | None = None
+
+
+class ChannelEvent(_EventFields):
     """One channel corruption: an insertion or a deletion at a 1-based position.
 
     For an insertion the new symbol is placed before `position`, whose valid
@@ -72,11 +77,10 @@ class ChannelEvent:
     meaningful for insertions only and is None for deletions.
     """
 
-    kind: str
-    position: int
-    symbol: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "ChannelEvent":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (INSERTION, DELETION):
             raise ValidationError(f"unknown event kind {self.kind!r}")
         if self.position < 1:
@@ -86,6 +90,7 @@ class ChannelEvent:
                 raise DataError(f"insertion symbol must be 0 or 1 (got {self.symbol!r})")
         elif self.symbol is not None:
             raise DataError("deletion events carry no symbol")
+        return self
 
 
 def apply_event(s: BitSeq, e: ChannelEvent) -> BitSeq:

@@ -11,6 +11,10 @@ validation, 3 data error on at least one input line, 4 verification failure.
 The library rejects input only with CodecError subclasses; main maps a
 ValidationError to 2 and a DataError to 3, and the per-line commands report
 a DataError for its line and carry on with the next.
+
+Start-up is part of every command's cost, so this module loads only the
+codec: the channel, the oracles and the analysis are imported by the
+handlers that use them.
 """
 from __future__ import annotations
 
@@ -19,21 +23,11 @@ import os
 import sys
 from collections.abc import Callable
 
-from .analysis import emit_csv, gap_condition_check, redundancy_row
 from .bitseq import BitSeq
-from .channel import DELETION, INSERTION, apply_event, log_line, random_event, trial_seed
-from .code import derive_params, embed_encode, params_text, raw_params
+from .code import derive_params, embed_encode, params_text
 from .decoder import correct, decode_message
 from .errors import DataError, ValidationError
 from .front import cached_front_params, front_encode
-from .oracle import (
-    DEFAULT_SAMPLE_SEED,
-    Report,
-    check_channel_campaign,
-    check_encoder_rll,
-    check_front_roundtrip,
-    check_sidc,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,15 +51,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _for_each_line(transform: Callable[[int, str], None]) -> int:
-    """Run transform over stdin lines; report per-line failures and continue."""
+def _for_each_line(transform: Callable[[int, str], object], logged: bool = False) -> int:
+    """Write transform(number, line) for each stdin line as one stdout line.
+
+    Each line takes one write, so an unbuffered stdout makes one system call
+    per line. With logged, transform returns (result, log) and the log line
+    goes to stderr right after its result. A DataError is reported as
+    `ERROR number reason` on stderr and the next line goes on.
+    """
+    out, err = sys.stdout, sys.stderr
     failed = False
     for number, raw in enumerate(sys.stdin, start=1):
         try:
-            transform(number, raw.strip())
+            result = transform(number, raw.strip())
         except DataError as exc:
             failed = True
-            print(f"ERROR {number} {exc}", file=sys.stderr)
+            err.write(f"ERROR {number} {exc}\n")
+            continue
+        if logged:
+            result, log = result
+            out.write(f"{result}\n")
+            err.write(f"{log}\n")
+        else:
+            out.write(f"{result}\n")
     return EXIT_DATA if failed else EXIT_OK
 
 
@@ -78,40 +86,41 @@ def _cmd_params(args) -> int:
 def _cmd_encode(args) -> int:
     cp = derive_params(args.k, args.r, args.d, args.b)
     if args.raw:
-        def transform(number: int, text: str) -> None:
-            print(embed_encode(cp, BitSeq.parse(text)))
+        def transform(number: int, text: str) -> BitSeq:
+            return embed_encode(cp, BitSeq.parse(text))
     else:
         fp = cached_front_params(args.k, args.r)
 
-        def transform(number: int, text: str) -> None:
-            print(embed_encode(cp, front_encode(BitSeq.parse(text), fp)))
+        def transform(number: int, text: str) -> BitSeq:
+            return embed_encode(cp, front_encode(BitSeq.parse(text), fp))
     return _for_each_line(transform)
 
 
 def _cmd_decode(args) -> int:
     cp = derive_params(args.k, args.r, args.d, args.b)
     if args.raw:
-        def transform(number: int, text: str) -> None:
-            print(correct(cp, BitSeq.parse(text))[cp.m :])
+        def transform(number: int, text: str) -> BitSeq:
+            return correct(cp, BitSeq.parse(text))[cp.m :]
     else:
         # constructed eagerly so infeasible (k, r) fail before any input is read
         cached_front_params(args.k, args.r)
 
-        def transform(number: int, text: str) -> None:
-            print(decode_message(cp, BitSeq.parse(text)))
+        def transform(number: int, text: str) -> BitSeq:
+            return decode_message(cp, BitSeq.parse(text))
     return _for_each_line(transform)
 
 
 def _cmd_corrupt(args) -> int:
+    from .channel import DELETION, INSERTION, apply_event, log_line, random_event, trial_seed
+
     kind = {"insert": INSERTION, "delete": DELETION, "random": None}[args.op]
 
-    def transform(number: int, text: str) -> None:
+    def transform(number: int, text: str) -> tuple[BitSeq, str]:
         s = BitSeq.parse(text)
         event = random_event(len(s), trial_seed(args.seed, number - 1), kind)
-        print(apply_event(s, event))
-        print(log_line(event), file=sys.stderr)
+        return apply_event(s, event), log_line(event)
 
-    return _for_each_line(transform)
+    return _for_each_line(transform, logged=True)
 
 
 def _emit_reports(reports) -> int:
@@ -123,6 +132,8 @@ def _emit_reports(reports) -> int:
 
 
 def _verify_front_roundtrip(args) -> int:
+    from .oracle import check_front_roundtrip
+
     return _emit_reports([check_front_roundtrip(args.k, args.r)])
 
 
@@ -132,40 +143,22 @@ def _check_range(args) -> None:
 
 
 def _verify_sidc(args) -> int:
+    from .oracle import check_sidc_range
+
     _check_range(args)
-    reports = []
-    for n in range(args.n_min, args.n_max + 1):
-        modulus = raw_params(n, args.rhat, args.d, 0).modulus
-        residues = range(modulus) if args.b is None else [args.b]
-        failures = 0
-        counterexample = None
-        for b in residues:
-            if not check_sidc(n, args.rhat, args.d, b):
-                failures += 1
-                if counterexample is None:
-                    counterexample = f"b={b}"
-        reports.append(
-            Report(
-                name="sidc",
-                params={
-                    "n": n,
-                    "r_hat": args.rhat,
-                    "d": args.d,
-                    "b": "all" if args.b is None else args.b,
-                },
-                passed=failures == 0,
-                counterexample=counterexample,
-                stats={"residues": len(residues), "failures": failures},
-            )
-        )
-    return _emit_reports(reports)
+    return _emit_reports(check_sidc_range(args.n_min, args.n_max, args.rhat, args.d, args.b))
 
 
 def _verify_encoder_rll(args) -> int:
-    return _emit_reports([check_encoder_rll(args.k, args.r, args.d, seed=args.seed)])
+    from .oracle import DEFAULT_SAMPLE_SEED, check_encoder_rll
+
+    seed = DEFAULT_SAMPLE_SEED if args.seed is None else args.seed
+    return _emit_reports([check_encoder_rll(args.k, args.r, args.d, seed=seed)])
 
 
 def _verify_gap_condition(args) -> int:
+    from .analysis import gap_condition_check
+
     return _emit_reports([gap_condition_check(args.rhat)])
 
 
@@ -177,6 +170,8 @@ def _campaign_jobs(trials: int) -> int:
 
 
 def _verify_campaign(args) -> int:
+    from .oracle import check_channel_campaign
+
     report = check_channel_campaign(
         args.k,
         args.r,
@@ -190,6 +185,8 @@ def _verify_campaign(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import emit_csv, redundancy_row
+
     _check_range(args)
     rows = [redundancy_row(n) for n in range(args.n_min, args.n_max + 1)]
     sys.stdout.write(emit_csv(rows))
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--d", type=int)
-    s.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED)
+    s.add_argument("--seed", type=int)
     s.set_defaults(func=_verify_encoder_rll)
 
     s = suites.add_parser(

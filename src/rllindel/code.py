@@ -37,9 +37,9 @@ their inputs and then call it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
+from typing import NamedTuple
 
 from .bitseq import _TO_ASCII, BitSeq, is_rll, le_encode
 from .errors import DataError, InvariantError, ValidationError
@@ -54,15 +54,15 @@ _SLICED_FROM = 200
 _SLICED_FROM_PACKED = 150
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Parameter bundle for one code instance.
+class CodeParams(NamedTuple):
+    """Parameter bundle for one code instance, an immutable named tuple.
 
     derive_params validates (k, r, d, b) for the embedding encoder and
     raw_params validates a bare (n, r_hat, d, b) code definition; both build
     the bundle through unchecked, the one place that derives m, n and the
     modulus. Calling unchecked directly skips validation and is reserved for
-    oracle runs that deliberately probe excluded parameter sets.
+    oracle runs that deliberately probe excluded parameter sets; so is
+    _replace, which copies the bundle with fields changed and checks nothing.
     """
 
     k: int
@@ -179,11 +179,12 @@ def _sliced_sum(cp: CodeParams, data: bytes, packed: int, start: int = 0) -> int
     is sum_t 2^t * popcount(affine & mask_t). The head symbols before lo, at
     most r_hat + 1 of them, are summed directly.
     """
-    lo = cp.r_hat + 1
+    r_hat = cp.r_hat
+    lo = r_hat + 1
     length = len(data)
     affine = packed & ((1 << max(length + start - lo, 0)) - 1)
-    weight = sum(compress(_coefficients(cp.n, cp.r_hat, cp.d)[start:lo], data))
-    weight += ((1 << cp.r_hat) - lo + start) * affine.bit_count()
+    weight = sum(compress(_coefficients(cp.n, r_hat, cp.d)[start:lo], data))
+    weight += ((1 << r_hat) - lo + start) * affine.bit_count()
     for t, mask in enumerate(_index_masks(length)):
         weight += (affine & mask).bit_count() << t
     return weight
@@ -196,11 +197,12 @@ def mu(cp: CodeParams, z: BitSeq) -> int:
     cheapest; from there on the word is packed into one int and summed by
     _sliced_sum.
     """
-    if len(z) != cp.n:
-        raise DataError(f"word length {len(z)} != n = {cp.n}")
+    n = cp.n
+    if len(z) != n:
+        raise DataError(f"word length {len(z)} != n = {n}")
     data = z.tobytes()
-    if cp.n < _SLICED_FROM:
-        return sum(compress(_coefficients(cp.n, cp.r_hat, cp.d), data))
+    if n < _SLICED_FROM:
+        return sum(compress(_coefficients(n, cp.r_hat, cp.d), data))
     return _sliced_sum(cp, data, int(data.translate(_TO_ASCII), 2))
 
 
@@ -211,10 +213,11 @@ def is_codeword(cp: CodeParams, z: BitSeq) -> bool:
 
 def _sigma(cp: CodeParams, y: BitSeq) -> int:
     """Weight of the message part y, which sits at 1-based positions m+1 .. n."""
-    if len(y) != cp.k:
-        raise DataError(f"message-part length {len(y)} != k = {cp.k}")
+    k = cp.k
+    if len(y) != k:
+        raise DataError(f"message-part length {len(y)} != k = {k}")
     data = y.tobytes()
-    if cp.k < _SLICED_FROM:
+    if k < _SLICED_FROM:
         return sum(compress(islice(_coefficients(cp.n, cp.r_hat, cp.d), cp.m, None), data))
     return _sliced_sum(cp, data, int(data.translate(_TO_ASCII), 2), cp.m)
 
@@ -222,9 +225,10 @@ def _sigma(cp: CodeParams, y: BitSeq) -> int:
 def _solve(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> BitSeq:
     if p_rhat not in (0, 1) or p_m not in (0, 1):
         raise DataError("parity symbols must be 0 or 1")
-    a_m = coefficient_value(cp.m, cp.r_hat, cp.d)
-    residue = (cp.b - cp.d * p_rhat - a_m * p_m - sigma) % cp.modulus
-    return le_encode(residue, cp.r_hat + 1)
+    r_hat, d = cp.r_hat, cp.d
+    a_m = coefficient_value(cp.m, r_hat, d)
+    residue = (cp.b - d * p_rhat - a_m * p_m - sigma) % cp.modulus
+    return le_encode(residue, r_hat + 1)
 
 
 def parity_solve(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
@@ -240,13 +244,9 @@ def parity_solve(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
 
 def _parity_word(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> BitSeq:
     q = _solve(cp, p_rhat, p_m, sigma).tobytes()
-    p = bytearray(cp.m)
-    p[: cp.r_hat - 1] = q[: cp.r_hat - 1]
-    p[cp.r_hat - 1] = p_rhat
-    p[cp.r_hat] = q[cp.r_hat - 1]
-    p[cp.r_hat + 1] = q[cp.r_hat]
-    p[cp.m - 1] = p_m
-    return BitSeq._wrap(bytes(p))
+    # q fills positions 1 .. r_hat-1, r_hat+1 and r_hat+2, around p_rhat; p_m is last
+    split = cp.r_hat - 1
+    return BitSeq._wrap(q[:split] + bytes((p_rhat,)) + q[split:] + bytes((p_m,)))
 
 
 def parity_word(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
@@ -265,17 +265,18 @@ def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:
     """
     if len(y) != cp.k:
         raise DataError(f"message-part length {len(y)} != k = {cp.k}")
-    if not is_rll(y, cp.r):
-        raise DataError(f"message part violates the run-length limit r={cp.r}")
+    r = cp.r
+    if not is_rll(y, r):
+        raise DataError(f"message part violates the run-length limit r={r}")
     p_m = y[0] ^ 1
     sigma = _sigma(cp, y)
     p = _parity_word(cp, 0, p_m, sigma)
-    if not is_rll(p, cp.r):
+    if not is_rll(p, r):
         p = _parity_word(cp, 1, p_m, sigma)
-        if not is_rll(p, cp.r):
+        if not is_rll(p, r):
             raise InvariantError(
                 f"fallback parity still violates the run-length limit at "
-                f"(k={cp.k}, r={cp.r}, d={cp.d}, b={cp.b})"
+                f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
             )
     return p + y
 

@@ -128,15 +128,16 @@ def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
 def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
     """Recover the transmitted codeword from a word one indel away (or intact)."""
     length = len(received)
-    if length == cp.n:
+    n = cp.n
+    if length == n:
         if is_codeword(cp, received):
             return received
         raise UncorrectableError(
             "received word has full length but is not a codeword"
         )
-    if length not in (cp.n - 1, cp.n + 1):
+    if length not in (n - 1, n + 1):
         raise DataError(
-            f"received length {length} is not within one symbol of n = {cp.n}"
+            f"received length {length} is not within one symbol of n = {n}"
         )
     found = candidates(cp, received.tobytes())
     if not found:

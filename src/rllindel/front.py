@@ -35,16 +35,24 @@ closes its gap with one C-level memmove of the word's tail.
 tests/reference.py keeps the restart-from-symbol-0 loop as the reference
 the tests compare this encoder against.
 
-Decodability bound: the decoder parses the replacement count from the right,
-greedily stripping (1^(r-1) 0) blocks and then zeros. For k >= 2^r + r - 6
-that greedy parse is ambiguous (an exhaustive round-trip sweep finds messages
-whose encodings strip a spurious block), so FrontParams rejects those lengths.
-k <= 2^r + r - 7 round-trips exhaustively for every tested r.
+Decodability bound: FrontParams rejects k >= 2^r + r - 6, which leaves out
+the two lengths 2^r + r - 6 and 2^r + r - 5 below the feasibility bound. What
+fails there depends on r. For r >= 5 the encoder itself is not injective at
+both lengths: a pointer's high ones, then the sentinel, then a one-symbol
+tail spell a (1^(r-1) 0) count block, so two messages share a codeword. At
+r = 5, k = 31, 000000000001100000000000000000 and
+001011100101001100001001000001 both encode to
+0010111001010011000010010011110. For r <= 4 the encoder is injective at both
+lengths (checked exhaustively at r = 3 and r = 4), and only the decoder's
+parse fails: it reads the replacement count from the right, greedily
+stripping (1^(r-1) 0) blocks and then zeros, and strips a spurious block for
+some messages. No collision and no parse failure has been seen at an
+accepted length; k <= 2^r + r - 7 round-trips exhaustively for every tested r.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq
 from .errors import DataError, InvariantError, ValidationError
@@ -57,14 +65,18 @@ def feasibility_bound(r: int) -> int:
     return (1 << r) + r - 5
 
 
-@dataclass(frozen=True)
-class FrontParams:
-    """Front-end shape: output length k and target maximum run-length r."""
-
+class _FrontFields(NamedTuple):
     k: int
     r: int
 
-    def __post_init__(self) -> None:
+
+class FrontParams(_FrontFields):
+    """Front-end shape: output length k and target maximum run-length r, validated."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "FrontParams":
+        self = super().__new__(cls, *args, **kwargs)
         if self.r < 2:
             raise ValidationError(f"run limit must be at least 2 (got r={self.r})")
         if self.k < 2:
@@ -80,6 +92,7 @@ class FrontParams:
                 f"is ambiguous for k > 2^r + r - 7 = {cap - 2} and the exhaustive "
                 f"round-trip check fails"
             )
+        return self
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -213,6 +226,7 @@ def front_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
 
 def front_decode(y: BitSeq, fp: FrontParams) -> BitSeq:
     """Inverse of front_encode."""
-    if len(y) != fp.k:
-        raise DataError(f"word length {len(y)} != k = {fp.k}")
-    return wi_decode(nrzi_decode(y), fp)
+    k = fp.k
+    if len(y) != k:
+        raise DataError(f"word length {len(y)} != k = {k}")
+    return BitSeq._wrap(_wi_decode(nrzi_decode(y).tobytes(), k, fp.r))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
 
 from .bitseq import BitSeq, is_rll, is_zero_constrained, le_encode
 from .channel import Stream, apply_event, log_line, random_event, trial_seed
@@ -42,15 +41,22 @@ _SIDC_CAP = 16
 _ROUNDTRIP_CAP = 13
 
 
-@dataclass
 class Report:
     """Outcome of one oracle run, renderable in the two-line report format."""
 
-    name: str
-    params: dict
-    passed: bool
-    counterexample: str | None = None
-    stats: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        params: dict,
+        passed: bool,
+        counterexample: str | None = None,
+        stats: dict | None = None,
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.passed = passed
+        self.counterexample = counterexample
+        self.stats = {} if stats is None else stats
 
     def lines(self) -> list[str]:
         ptext = " ".join(f"{key}={value}" for key, value in self.params.items())
@@ -141,6 +147,31 @@ def check_sidc(n: int, r_hat: int, d: int, b: int) -> bool:
     return ok
 
 
+def check_sidc_range(n_min: int, n_max: int, r_hat: int, d: int, b: int | None = None) -> list[Report]:
+    """One sidc report per code length n_min..n_max, over every residue or only b."""
+    reports = []
+    for n in range(n_min, n_max + 1):
+        modulus = raw_params(n, r_hat, d, 0).modulus
+        residues = range(modulus) if b is None else [b]
+        failures = 0
+        counterexample = None
+        for residue in residues:
+            if not check_sidc(n, r_hat, d, residue):
+                failures += 1
+                if counterexample is None:
+                    counterexample = f"b={residue}"
+        reports.append(
+            Report(
+                name="sidc",
+                params={"n": n, "r_hat": r_hat, "d": d, "b": "all" if b is None else b},
+                passed=failures == 0,
+                counterexample=counterexample,
+                stats={"residues": len(residues), "failures": failures},
+            )
+        )
+    return reports
+
+
 def _random_word(stream: Stream, bits: int) -> BitSeq:
     """bits random symbols: symbol j is bit j of the next ceil(bits/64) outputs, first lowest."""
     value = 0
@@ -179,7 +210,7 @@ def check_encoder_rll(
     violations = 0
     counterexample = None
     for y, b in pairs:
-        bad = _embed_violates(replace(cp0, b=b), y)
+        bad = _embed_violates(cp0._replace(b=b), y)
         if bad:
             violations += 1
             if counterexample is None:

@@ -7,8 +7,6 @@ log, then fails loudly if the check or its wall-clock budget is violated.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from rllindel.analysis import (
     g_bound,
     gap_condition_check,
@@ -126,7 +124,7 @@ def test_08_decoder_totality(criterion):
             for d in (5, 6, 7):
                 base = derive_params(k, 4, d=d)
                 for b in range(base.modulus):
-                    cp = replace(base, b=b)
+                    cp = base._replace(b=b)
                     for u, y in zip(messages, fronts):
                         z = embed_encode(cp, y)
                         word = str(z)

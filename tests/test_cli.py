@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, streaming behavior, and exit codes."""
 import io
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,98 @@ class TestVerify:
         second = run(*args)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+# Modules the codec commands must not load: dataclasses pulls in inspect, the
+# oracles hashlib, and both verification modules cost compile time on start.
+NOT_ON_CODEC_PATH = ("dataclasses", "inspect", "hashlib", "rllindel.oracle", "rllindel.analysis")
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def loaded_after(*argvs):
+    """Run cli.main on each argv in a fresh interpreter without site, stdin empty.
+
+    Returns its stdout and which NOT_ON_CODEC_PATH modules it had loaded by
+    the end. -S keeps site-packages hooks from loading modules of their own.
+    """
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import rllindel\n"
+        "import rllindel.cli\n"
+        f"for argv in {[list(a) for a in argvs]!r}:\n"
+        "    rllindel.cli.main(argv)\n"
+        f"sys.stderr.write(' '.join(m for m in {NOT_ON_CODEC_PATH!r} if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, SRC],
+        input="", capture_output=True, text=True, timeout=300,
+    )
+    return result.stdout, result.stderr.split()
+
+
+class TestImportSet:
+    def test_codec_commands_load_only_the_codec(self):
+        stdout, loaded = loaded_after(
+            ("params", "--k", "13", "--r", "4"),
+            ("encode", "--k", "13", "--r", "4"),
+            ("decode", "--k", "13", "--r", "4"),
+            ("corrupt", "--seed", "7"),
+        )
+        assert stdout.startswith("k=13\n")
+        assert loaded == []
+
+    def test_campaign_still_loads_its_digest(self):
+        stdout, loaded = loaded_after(("verify", "campaign", "--k", "60", "--r", "6", "--seed", "7"))
+        assert "hashlib" in loaded and "rllindel.oracle" in loaded
+        assert stdout.splitlines()[-1] == (
+            "check=channel-campaign k=60 r=6 d=31 b=0 seed=7 result=pass trials=1000 failures=0 "
+            "digest=85df0c409a875d3e7b99fdae37dd36e92413269eb1a435b8a2886ea66cac6d61"
+        )
+
+
+# Each input has a bad second line, so an ERROR line and exit code 3 fall
+# in the middle of the run.
+STREAM_RUNS = {
+    "encode": (("encode", "--k", "13", "--r", "4"), "010011000101\n01x\n111111111111\n"),
+    "decode": (
+        ("decode", "--k", "13", "--r", "4"),
+        "10101010111011110010\n0101\n1010101011101111001\n",
+    ),
+    "corrupt": (("corrupt", "--seed", "7"), "001111010100001000010\nabc\n0000\n"),
+}
+
+
+def run_with(env_update, args, stdin, stderr=subprocess.PIPE):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(env_update)
+    return subprocess.run(
+        CMD + list(args), input=stdin, stdout=subprocess.PIPE, stderr=stderr,
+        text=True, timeout=300, env=env,
+    )
+
+
+class TestOutputStreams:
+    @pytest.mark.parametrize("command", sorted(STREAM_RUNS))
+    def test_same_bytes_with_and_without_unbuffered_stdout(self, command):
+        args, stdin = STREAM_RUNS[command]
+        buffered = run_with({}, args, stdin)
+        unbuffered = run_with({"PYTHONUNBUFFERED": "1"}, args, stdin)
+        assert buffered.returncode == unbuffered.returncode == 3
+        assert (buffered.stdout, buffered.stderr) == (unbuffered.stdout, unbuffered.stderr)
+        assert len(buffered.stdout.splitlines()) == 2
+        errors = [line for line in buffered.stderr.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and errors[0].startswith("ERROR 2 ")
+
+    def test_corrupt_logs_each_line_right_after_its_output(self):
+        args, stdin = STREAM_RUNS["corrupt"]
+        apart = run_with({"PYTHONUNBUFFERED": "1"}, args, stdin)
+        merged = run_with({"PYTHONUNBUFFERED": "1"}, args, stdin, stderr=subprocess.STDOUT)
+        words = apart.stdout.splitlines()
+        logs = apart.stderr.splitlines()
+        assert logs[1].startswith("ERROR 2 ")
+        assert merged.returncode == 3
+        assert merged.stdout.splitlines() == [words[0], logs[0], logs[1], words[1], logs[2]]
 
 
 class TestAnalyze:

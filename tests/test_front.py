@@ -125,6 +125,16 @@ class TestReplacement:
         with pytest.raises(DataError, match="sentinel"):
             _wi_decode(bytes(x), 5, 3)
 
+    def test_encoder_collides_at_rejected_length_r5(self):
+        # k = 31 = 2^r + r - 6 at r = 5: no parse can help, two messages share
+        # one encoding (a pointer's high ones, the sentinel and a one-symbol
+        # tail spell a count block)
+        word = BitSeq("0010111001010011000010010011110").tobytes()
+        for message in ("000000000001100000000000000000", "001011100101001100001001000001"):
+            assert _wi_encode(BitSeq(message).tobytes(), 31, 5) == word
+        with pytest.raises(ValidationError, match="ambiguous"):
+            FrontParams(31, 5)
+
 
 class TestResumedSearchMatchesReference:
     """The resumed search against reference.reference_wi_encode, which restarts at symbol 0."""

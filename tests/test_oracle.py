@@ -17,6 +17,7 @@ from rllindel.oracle import (
     check_encoder_rll,
     check_front_roundtrip,
     check_sidc,
+    check_sidc_range,
     deletion_balls_disjoint,
     enumerate_codewords,
     enumerate_rll,
@@ -105,6 +106,22 @@ class TestDeletionBalls:
     def test_guard(self):
         with pytest.raises(ValidationError):
             check_sidc(17, 4, 6, 0)
+
+    def test_range_gives_one_report_per_length(self):
+        reports = check_sidc_range(9, 10, 4, 6)
+        assert "".join(report.render() for report in reports) == (
+            "CHECK sidc n=9 r_hat=4 d=6 b=all PASS\n"
+            "check=sidc n=9 r_hat=4 d=6 b=all result=pass residues=20 failures=0\n"
+            "CHECK sidc n=10 r_hat=4 d=6 b=all PASS\n"
+            "check=sidc n=10 r_hat=4 d=6 b=all result=pass residues=21 failures=0\n"
+        )
+
+    def test_range_at_one_residue(self):
+        [report] = check_sidc_range(10, 10, 4, 6, b=3)
+        assert report.lines() == [
+            "CHECK sidc n=10 r_hat=4 d=6 b=3 PASS",
+            "check=sidc n=10 r_hat=4 d=6 b=3 result=pass residues=1 failures=0",
+        ]
 
 
 class TestEncoderRll:
