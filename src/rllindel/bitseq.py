@@ -10,11 +10,9 @@ line; an empty line denotes the null word.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from collections.abc import Iterable, Iterator
 
 from .errors import DataError, ValidationError
-
-BitsLike = Union["BitSeq", str, bytes, bytearray, Iterable[int]]
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
@@ -25,7 +23,7 @@ class BitSeq:
 
     __slots__ = ("_data",)
 
-    def __init__(self, bits: BitsLike = b"") -> None:
+    def __init__(self, bits: BitSeq | str | bytes | bytearray | Iterable[int] = b"") -> None:
         if isinstance(bits, BitSeq):
             self._data = bits._data
         elif isinstance(bits, str):

@@ -13,7 +13,7 @@ distributed across workers.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bitseq import BitSeq
 from .errors import DataError, ValidationError
@@ -63,10 +63,7 @@ def trial_seed(base_seed: int, index: int) -> int:
     return mix64((base_seed + (index + 1) * _GOLDEN) & _MASK)
 
 
-class _EventFields(NamedTuple):
-    kind: str
-    position: int
-    symbol: int | None = None
+_EventFields = namedtuple("_EventFields", "kind position symbol", defaults=(None,))
 
 
 class ChannelEvent(_EventFields):

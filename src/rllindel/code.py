@@ -37,9 +37,9 @@ their inputs and then call it.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, islice
-from typing import NamedTuple
 
 from .bitseq import _TO_ASCII, BitSeq, is_rll, le_encode
 from .errors import DataError, InvariantError, ValidationError
@@ -54,7 +54,7 @@ _SLICED_FROM = 200
 _SLICED_FROM_PACKED = 150
 
 
-class CodeParams(NamedTuple):
+class CodeParams(namedtuple("CodeParams", "k r_hat r d b m n modulus")):
     """Parameter bundle for one code instance, an immutable named tuple.
 
     derive_params validates (k, r, d, b) for the embedding encoder and
@@ -65,14 +65,7 @@ class CodeParams(NamedTuple):
     _replace, which copies the bundle with fields changed and checks nothing.
     """
 
-    k: int
-    r_hat: int
-    r: int
-    d: int
-    b: int
-    m: int
-    n: int
-    modulus: int
+    __slots__ = ()
 
     @classmethod
     def unchecked(cls, k: int, r_hat: int, r: int, d: int, b: int) -> "CodeParams":

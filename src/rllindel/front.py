@@ -18,20 +18,25 @@ are removed and the (r-1)-symbol marker 1 0^(r-2) is appended. Markers decode
 to values 2 or 3, pointers to values >= 4, so the decoder can always tell the
 two apart.
 
-Encoding cost: the search resumes rather than restarting. The first forbidden
-word found starts at some idx, so none starts before idx, and no two overlap
-(each holds exactly one 1, its last symbol). A replacement at idx keeps the
-symbols before idx, so a forbidden word in the new working word that starts
-before idx - r would lie wholly inside that kept prefix, where there was none.
-The next search therefore starts at max(idx - r, 0). A new forbidden word can
-start as far back as that, when the last zeros of a run before idx meet a 1
-the deletion pulled left, or further right, inside the appended pointers. The
-sentinel 1 stays the last byte of the working word: pointers are inserted
-before it, and in the end case the r zeros and the sentinel become the marker
-and the sentinel. Every symbol is searched a bounded number of times, apart
-from the O(r) symbols around each replacement, so s replacements cost
-O(k + s*r) C-level search work plus O(s) Python steps; each deletion also
-closes its gap with one C-level memmove of the word's tail.
+Encoding cost: one left-to-right scan, which never edits the message in
+place. It keeps the working word as three parts: head, a finished prefix that
+is empty or ends in a 1 and holds no forbidden word; c, a count of pending
+zeros; and rest, the unscanned symbols (the rest of the message, then the
+appended pointers and markers), with the sentinel implicitly after it. As
+head ends in a 1, no forbidden word starts in it, so the first forbidden word
+ends at the first 1 of rest whose zero run, c plus the zeros before it in
+rest, has length at least r. A replacement drops the run's last r zeros and
+that 1, leaves c = run - r, and appends the pointer for idx = len(head) + c to
+rest. When rest holds no 1 and the run reaches r, the sentinel ends the
+forbidden word: the end case appends the marker to rest, and a later
+replacement can take the marker's 1. A 1 that ends a shorter run is final:
+head takes the pending zeros and the scanned symbols, and one C-level find of
+0^r 1 in rest jumps to the next forbidden word. Every symbol of rest is
+searched and copied a bounded number of times, so s replacements cost
+O(k + s*r) C-level work and O(s) Python steps of a few integer operations
+each, with no memmove; the pointers come from a table of k entries built once
+per (k, r). A message with no forbidden word and fewer than r trailing zeros
+returns at once with the sentinel appended.
 tests/reference.py keeps the restart-from-symbol-0 loop as the reference
 the tests compare this encoder against.
 
@@ -51,8 +56,9 @@ accepted length; k <= 2^r + r - 7 round-trips exhaustively for every tested r.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import repeat
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq
 from .errors import DataError, InvariantError, ValidationError
@@ -65,9 +71,7 @@ def feasibility_bound(r: int) -> int:
     return (1 << r) + r - 5
 
 
-class _FrontFields(NamedTuple):
-    k: int
-    r: int
+_FrontFields = namedtuple("_FrontFields", "k r")
 
 
 class FrontParams(_FrontFields):
@@ -115,32 +119,70 @@ def omega(s: int, t: int) -> BitSeq:
     return BitSeq._wrap(b"\x00" * rem + (b"\x01" * t + b"\x00") * v)
 
 
+@lru_cache(maxsize=16)
+def _pointer_table(k: int, r: int) -> tuple[bytes, ...]:
+    """The pointer le_encode(idx + 4, r) for each forbidden-word start idx < k.
+
+    The binary texts of k + 3 down to 4, joined and read backwards, are the
+    little-endian texts of 4 up to k + 3. p + 3 = idx + 4 < 2^r at every
+    accepted (k, r); a wider pointer makes the output too long, which
+    _wi_encode's length check reports.
+    """
+    text = "\n".join(map(format, range(k + 3, 3, -1), repeat(f"0{r}b")))[::-1]
+    return tuple(text.encode().translate(_FROM_ASCII).split(b"\n"))
+
+
 def _wi_encode(data: bytes, k: int, r: int) -> bytes:
-    pattern = b"\x00" * r + _FORBIDDEN_ONE
-    pointer_format = f"0{r}b"
-    # the working word with its sentinel 1 as the last byte
-    w = bytearray(data)
-    w.append(1)
-    s = 0
-    idx = w.find(pattern)
-    while idx >= 0:
-        if s >= k:
-            raise InvariantError(
-                f"replacement loop overran s={s} at (k={k}, r={r}); parameters must be rejected"
-            )
-        end = idx + r + 1
-        if end < len(w):
-            del w[idx:end]
-            # the pointer le_encode(p + 3, r) for p = idx + 1; p + 3 < 2^r at every
-            # accepted (k, r), and a wider pointer would fail the length check below
-            w[-1:-1] = format(idx + 4, pointer_format)[::-1].encode().translate(_FROM_ASCII)
-        else:
-            # end case: the sentinel closes the forbidden word; marker 1 0^(r-2), then sentinel
-            w[idx:] = b"\x01" + b"\x00" * (r - 2) + _FORBIDDEN_ONE
-        s += 1
-        # no forbidden word starts before idx - r (see the module docstring)
-        idx = w.find(pattern, idx - r if idx > r else 0)
-    out = bytes(w) + omega(s, r - 1).tobytes()
+    zeros = b"\x00" * r
+    pattern = zeros + _FORBIDDEN_ONE
+    q = data.find(pattern)
+    if q < 0 and not data.endswith(zeros):
+        # nothing to replace: the message, then the sentinel
+        out = data + _FORBIDDEN_ONE
+    else:
+        pointers = _pointer_table(k, r)
+        # the working word is head + 0^c + rest[pos:], then the sentinel; the
+        # symbols before the zero run of the first forbidden word are final
+        rest = bytearray(data)
+        pos = rest.rfind(1, 0, q if q >= 0 else len(rest)) + 1
+        head = rest[:pos]
+        c = s = 0
+        while True:
+            j = rest.find(1, pos)
+            run = c + (j if j >= 0 else len(rest)) - pos
+            if run >= r:
+                if s >= k:
+                    raise InvariantError(
+                        f"replacement loop overran s={s} at (k={k}, r={r}); "
+                        f"parameters must be rejected"
+                    )
+                s += 1
+                # drop the run's last r zeros and the symbol that ends them;
+                # the forbidden word started at len(head) + c
+                c = run - r
+                if j >= 0:
+                    pos = j + 1
+                    rest += pointers[len(head) + c]
+                else:
+                    # end case: the sentinel ends the forbidden word; the
+                    # marker 1 0^(r-2) follows
+                    pos = len(rest)
+                    rest += _FORBIDDEN_ONE + zeros[2:]
+                continue
+            if j < 0:
+                break
+            # the 1 at j ends a short run; stop if no forbidden word is left in
+            # rest and none ends on the sentinel
+            q = rest.find(pattern, j + 1)
+            if q < 0 and not rest.endswith(zeros):
+                break
+            # the symbols before the zero run of the next forbidden word are final
+            end = rest.rfind(1, j, q if q >= 0 else len(rest)) + 1
+            head += bytes(c)
+            head += rest[pos:end]
+            c = 0
+            pos = end
+        out = b"".join((head, bytes(c), rest[pos:], _FORBIDDEN_ONE, omega(s, r - 1).tobytes()))
     if len(out) != k:
         raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
     return out

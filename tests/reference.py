@@ -54,7 +54,7 @@ def reference_wi_encode(data: bytes, k: int, r: int) -> bytes:
 
     Each search runs over a fresh copy of the working word with the sentinel
     appended, so s replacements cost O(s k). This is the reference that
-    front._wi_encode, which resumes its search instead, is tested against.
+    front._wi_encode, a one-pass scan, is tested against.
     """
     pattern = b"\x00" * r + _FORBIDDEN_ONE
     v = bytearray(data)

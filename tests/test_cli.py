@@ -156,8 +156,11 @@ class TestVerify:
 
 
 # Modules the codec commands must not load: dataclasses pulls in inspect, the
-# oracles hashlib, and both verification modules cost compile time on start.
-NOT_ON_CODEC_PATH = ("dataclasses", "inspect", "hashlib", "rllindel.oracle", "rllindel.analysis")
+# oracles hashlib, typing costs milliseconds where site has not loaded it, and
+# both verification modules cost compile time on start.
+NOT_ON_CODEC_PATH = (
+    "dataclasses", "inspect", "hashlib", "typing", "rllindel.oracle", "rllindel.analysis"
+)
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 

@@ -137,7 +137,13 @@ class TestReplacement:
 
 
 class TestResumedSearchMatchesReference:
-    """The resumed search against reference.reference_wi_encode, which restarts at symbol 0."""
+    """The one-pass scan against reference.reference_wi_encode, which restarts at symbol 0.
+
+    The scan keeps the working word as a finished head, a count of pending
+    zeros and the unscanned rest, so the cases that matter are long zero runs
+    (the count grows past r), runs that span a deleted 1, and the end case's
+    marker, whose 1 a later replacement can take.
+    """
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_every_message_at_every_accepted_length(self, r):
@@ -147,7 +153,15 @@ class TestResumedSearchMatchesReference:
                 data = bytes((mask >> i) & 1 for i in range(k - 1))
                 assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
 
-    @pytest.mark.parametrize("p_one", [1 / 2, 1 / 4, 1 / 16, 1 / 64])
+    @pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 12])
+    def test_all_zero_and_all_one_messages(self, r):
+        # every accepted length for r <= 8, and k = 4000 at r = 12
+        for k in [4000] if r == 12 else range(2, feasibility_bound(r) - 1):
+            FrontParams(k, r)
+            for data in (bytes(k - 1), b"\x01" * (k - 1)):
+                assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
+
+    @pytest.mark.parametrize("p_one", [1 / 2, 1 / 4, 1 / 16, 1 / 64, 1 / 256])
     @pytest.mark.parametrize("k, r", [(7, 5), (30, 5), (63, 6), (257, 8), (500, 12), (4000, 12)])
     def test_seeded_messages(self, k, r, p_one):
         rng = random.Random(f"{k} {r} {p_one}")
@@ -168,6 +182,9 @@ class TestResumedSearchMatchesReference:
             # end case: the message ends in 0^r, so the sentinel ends the
             # forbidden word and the zeros become the marker 100
             ("111111110000", "1111111110010"),
+            # end case first: the last four zeros become the marker 100, and
+            # the next forbidden word is zeros 5-8 and the marker's 1
+            ("000000000000", "0001101011110"),
         ],
     )
     def test_pinned_vectors_at_k13_r4(self, message, word):
