@@ -17,7 +17,7 @@ C3.lower, and only for the narrowest band. That single point is the
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from typing import NamedTuple
 
 from .bitseq import BitSeq, is_rll, le_encode
 from .code import CodeParams, coefficient_value, d_range
@@ -57,7 +57,12 @@ def psi(n: float) -> float:
     return 2.0**n - 2.0 - 2.0 * (n - 1) * _LN2
 
 
-_RowFields = namedtuple("_RowFields", "n r_hat redundancy phi gap")
+class _RowFields(NamedTuple):
+    n: int
+    r_hat: int
+    redundancy: int
+    phi: float
+    gap: float
 
 
 class AnalysisRow(_RowFields):
@@ -128,7 +133,14 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
 _EXPECTED_COLLISIONS: dict[int, tuple[tuple[int, int, int], ...]] = {4: ((14, 5, 32),)}
 
 
-_GapFields = namedtuple("_GapFields", "r_hat c1 c2 c3 d_interval disjoint collisions")
+class _GapFields(NamedTuple):
+    r_hat: int
+    c1: tuple[int, int]
+    c2: tuple[int, int]
+    c3: tuple[int, int]
+    d_interval: tuple[int, int]
+    disjoint: bool
+    collisions: tuple[tuple[int, int, int], ...]
 
 
 class GapReport(_GapFields):

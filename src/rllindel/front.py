@@ -34,9 +34,10 @@ head takes the pending zeros and the scanned symbols, and one C-level find of
 0^r 1 in rest jumps to the next forbidden word. Every symbol of rest is
 searched and copied a bounded number of times, so s replacements cost
 O(k + s*r) C-level work and O(s) Python steps of a few integer operations
-each, with no memmove; the pointers come from a table of k entries built once
-per (k, r). A message with no forbidden word and fewer than r trailing zeros
-returns at once with the sentinel appended.
+each, with no memmove. Each pointer is built on its first use and kept in a
+bounded cache, so pointer work and memory follow s, not k. A message with no
+forbidden word and fewer than r trailing zeros returns at once with the
+sentinel appended.
 tests/reference.py keeps the restart-from-symbol-0 loop as the reference
 the tests compare this encoder against.
 
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq
 from .errors import DataError, InvariantError, ValidationError
@@ -119,17 +119,16 @@ def omega(s: int, t: int) -> BitSeq:
     return BitSeq._wrap(b"\x00" * rem + (b"\x01" * t + b"\x00") * v)
 
 
-@lru_cache(maxsize=16)
-def _pointer_table(k: int, r: int) -> tuple[bytes, ...]:
-    """The pointer le_encode(idx + 4, r) for each forbidden-word start idx < k.
+@lru_cache(maxsize=4096)
+def _pointer(v: int, r: int) -> bytes:
+    """le_encode(v, r), the pointer for a forbidden word that starts at v - 4.
 
-    The binary texts of k + 3 down to 4, joined and read backwards, are the
-    little-endian texts of 4 up to k + 3. p + 3 = idx + 4 < 2^r at every
-    accepted (k, r); a wider pointer makes the output too long, which
-    _wi_encode's length check reports.
+    Built on first use and kept for the 4096 most recent (v, r), which covers
+    every pointer of a k = 4000 word. v = p + 3 < 2^r at every accepted
+    (k, r); a wider pointer makes the output too long, which _wi_encode's
+    length check reports.
     """
-    text = "\n".join(map(format, range(k + 3, 3, -1), repeat(f"0{r}b")))[::-1]
-    return tuple(text.encode().translate(_FROM_ASCII).split(b"\n"))
+    return format(v, f"0{r}b")[::-1].encode().translate(_FROM_ASCII)
 
 
 def _wi_encode(data: bytes, k: int, r: int) -> bytes:
@@ -140,7 +139,6 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
         # nothing to replace: the message, then the sentinel
         out = data + _FORBIDDEN_ONE
     else:
-        pointers = _pointer_table(k, r)
         # the working word is head + 0^c + rest[pos:], then the sentinel; the
         # symbols before the zero run of the first forbidden word are final
         rest = bytearray(data)
@@ -162,7 +160,7 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
                 c = run - r
                 if j >= 0:
                     pos = j + 1
-                    rest += pointers[len(head) + c]
+                    rest += _pointer(len(head) + c + 4, r)
                 else:
                     # end case: the sentinel ends the forbidden word; the
                     # marker 1 0^(r-2) follows

@@ -1,5 +1,6 @@
 """Replacement front-end, its padding word, and the NRZI transform."""
 import random
+import tracemalloc
 from itertools import accumulate
 from operator import xor
 
@@ -134,6 +135,24 @@ class TestReplacement:
             assert _wi_encode(BitSeq(message).tobytes(), 31, 5) == word
         with pytest.raises(ValidationError, match="ambiguous"):
             FrontParams(31, 5)
+
+    def test_memory_follows_replacements_not_k(self):
+        # k = 10^6 at r = 20 (accepted): one forbidden word in a message of
+        # ones. The encoder copies the word a few times; a pointer table of k
+        # entries would cost about 100 bytes a symbol.
+        k, r = 10**6, 20
+        FrontParams(k, r)
+        data = bytearray(b"\x01" * (k - 1))
+        data[k // 2 : k // 2 + r] = bytes(r)
+        data = bytes(data)
+        tracemalloc.start()
+        try:
+            word = _wi_encode(data, k, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k
+        assert word == reference_wi_encode(data, k, r)
 
 
 class TestResumedSearchMatchesReference:
