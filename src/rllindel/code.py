@@ -16,8 +16,11 @@ word packed one bit per symbol into an int, the affine part weighs
 (2^r_hat - r_hat - 1) times its ones plus the sum of its 0-based indices,
 and that index sum is sum_t 2^t * popcount(word & M_t), where the cached mask
 M_t marks the indices with bit t set. That is ceil(log2 n) ANDs and popcounts
-in place of one pass over n coefficients (_sliced_sum); below the measured
-crossover, about 200 symbols, the plain pass stays.
+in place of one pass over n coefficients (_sliced_sum), and it reads only the
+r_hat + 2 head coefficients. _weight is the codec's one weighted sum: below
+the measured crossover of 200 symbols it makes the plain pass over a full
+coefficient table, from there on it takes the sliced sum, so no word of
+_SLICED_FROM symbols or more builds a table of its own length.
 
 Strict monotonicity of the coefficients is what makes a single insertion or
 deletion uniquely reversible (see decoder). The encoder embeds a run-length-
@@ -39,19 +42,19 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import compress
 
 from .bitseq import _TO_ASCII, BitSeq, is_rll, le_encode
 from .errors import DataError, InvariantError, ValidationError
 from .front import cached_front_params, front_encode
 
-# Word lengths from which _sliced_sum beats one compress pass over the
-# coefficients: 200 when the word must be packed first, 150 when the caller
-# holds it packed already. Measured with timeit on one pinned CPU (2-vCPU
-# host, Python 3.11), where the two costs cross between n = 180 and 220 with
-# packing counted and between 120 and 160 without.
+# The word length from which _sliced_sum, with the word's packing counted,
+# beats one compress pass over the coefficients. Measured with timeit on one
+# pinned CPU (2-vCPU host, Python 3.11), where the two costs cross between
+# n = 180 and 220. A caller that holds the word packed already saves the
+# pack, but at n = 161 the two still cost about the same (2.05 us for the
+# pass, 2.21 us for the sliced sum), so one crossover serves every caller.
 _SLICED_FROM = 200
-_SLICED_FROM_PACKED = 150
 
 
 class CodeParams(namedtuple("CodeParams", "k r_hat r d b m n modulus")):
@@ -161,42 +164,47 @@ def _index_masks(length: int) -> tuple[int, ...]:
     )
 
 
-def _sliced_sum(cp: CodeParams, data: bytes, packed: int, start: int = 0) -> int:
-    """sum(compress(islice(coefficients, start, None), data)) in O(log n) big-int steps.
+def _sliced_sum(cp: CodeParams, data: bytes, packed: int) -> int:
+    """sum(compress(coefficients, data)) in O(log n) big-int steps, for len(data) <= n + 1.
 
     packed is data one bit per symbol with data[0] most significant, that is
-    int(data.translate(_TO_ASCII), 2), and start + len(data) <= n + 1. From
-    0-based coefficient index lo = r_hat + 1 on, the coefficient at index j is
-    base + j with base = 2^r_hat - r_hat - 1. So each 1 there (the affine
-    part) weighs base + start plus its index i within data, and the index sum
-    is sum_t 2^t * popcount(affine & mask_t). The head symbols before lo, at
-    most r_hat + 1 of them, are summed directly.
+    int(data.translate(_TO_ASCII), 2). The head symbols, the first r_hat + 2,
+    are summed directly over the head table a_1 .. a_(r_hat+2). From 0-based
+    index r_hat + 1 on, the coefficient at index i is base + i with
+    base = 2^r_hat - r_hat - 1, so each 1 after the head (the affine part)
+    weighs base plus its index, and the index sum is
+    sum_t 2^t * popcount(affine & mask_t).
     """
     r_hat = cp.r_hat
-    lo = r_hat + 1
     length = len(data)
-    affine = packed & ((1 << max(length + start - lo, 0)) - 1)
-    weight = sum(compress(_coefficients(cp.n, r_hat, cp.d)[start:lo], data))
-    weight += ((1 << r_hat) - lo + start) * affine.bit_count()
+    affine = packed & ((1 << max(length - r_hat - 2, 0)) - 1)
+    weight = sum(compress(_coefficients(r_hat + 1, r_hat, cp.d), data))
+    weight += ((1 << r_hat) - r_hat - 1) * affine.bit_count()
     for t, mask in enumerate(_index_masks(length)):
         weight += (affine & mask).bit_count() << t
     return weight
 
 
-def mu(cp: CodeParams, z: BitSeq) -> int:
-    """Weighted sum of z under the coefficient sequence (exact integer).
+def _weight(cp: CodeParams, data: bytes, packed: int | None = None) -> int:
+    """The weighted sum of data placed at positions 1 .. len(data) <= n + 1.
 
     Below _SLICED_FROM symbols one compress pass over the coefficients is
-    cheapest; from there on the word is packed into one int and summed by
-    _sliced_sum.
+    cheapest; from there on _sliced_sum takes over, and packs the word unless
+    the caller passes it packed already.
     """
+    if len(data) < _SLICED_FROM:
+        return sum(compress(_coefficients(cp.n, cp.r_hat, cp.d), data))
+    if packed is None:
+        packed = int(data.translate(_TO_ASCII), 2)
+    return _sliced_sum(cp, data, packed)
+
+
+def mu(cp: CodeParams, z: BitSeq) -> int:
+    """Weighted sum of z under the coefficient sequence (exact integer)."""
     n = cp.n
     if len(z) != n:
         raise DataError(f"word length {len(z)} != n = {n}")
-    data = z.tobytes()
-    if n < _SLICED_FROM:
-        return sum(compress(_coefficients(n, cp.r_hat, cp.d), data))
-    return _sliced_sum(cp, data, int(data.translate(_TO_ASCII), 2))
+    return _weight(cp, z.tobytes())
 
 
 def is_codeword(cp: CodeParams, z: BitSeq) -> bool:
@@ -205,14 +213,14 @@ def is_codeword(cp: CodeParams, z: BitSeq) -> bool:
 
 
 def _sigma(cp: CodeParams, y: BitSeq) -> int:
-    """Weight of the message part y, which sits at 1-based positions m+1 .. n."""
+    """Weight of the message part y, which sits at 1-based positions m+1 .. n.
+
+    That is the weight of y behind m zero parity symbols.
+    """
     k = cp.k
     if len(y) != k:
         raise DataError(f"message-part length {len(y)} != k = {k}")
-    data = y.tobytes()
-    if k < _SLICED_FROM:
-        return sum(compress(islice(_coefficients(cp.n, cp.r_hat, cp.d), cp.m, None), data))
-    return _sliced_sum(cp, data, int(data.translate(_TO_ASCII), 2), cp.m)
+    return _weight(cp, bytes(cp.m) + y.tobytes())
 
 
 def _solve(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> BitSeq:

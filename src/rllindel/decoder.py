@@ -10,14 +10,13 @@ distinct words would contradict the monotonicity guarantee and raise
 InvariantError.
 
 The search is closed-form rather than a scan of every edit. Pack the received
-word one bit per symbol, take its weight S from that int (code._sliced_sum:
-O(log n) masked popcounts; below 150 symbols one C-level pass over the
-coefficients is cheaper and is used instead) and work modulo M = a_(n+1). A
+word one bit per symbol, take its weight S from code._weight (which chooses
+how to sum and, on long words, reuses that int) and work modulo M = a_(n+1). A
 codeword one edit away differs from S by E = (b - S) mod M for an insertion,
-or by -E with E = (S - b) mod M for a deletion. An edit at (1-based)
-position i changes the weight by the edited symbol's own coefficient a_i,
-plus, for each 1 after the edit, the step a_(j+1) - a_j it crosses when it
-shifts one place:
+or by -E with E = (S - b) mod M for a deletion. An edit at (1-based) position
+i changes the weight by the edited symbol's own coefficient a_i, plus, for
+each 1 after the edit, the step a_(j+1) - a_j it crosses when it shifts one
+place:
 
 * Head, i < r_hat + 2. These r_hat + 1 positions are the only ones whose
   shifted suffix crosses a step other than 1, so each is tried directly,
@@ -45,10 +44,8 @@ this search.
 """
 from __future__ import annotations
 
-from itertools import compress
-
 from .bitseq import _TO_ASCII, BitSeq
-from .code import _SLICED_FROM_PACKED, CodeParams, _coefficients, _sliced_sum, is_codeword
+from .code import CodeParams, _coefficients, _weight, is_codeword
 from .errors import DataError, InvariantError, UncorrectableError
 from .front import cached_front_params, front_decode
 
@@ -72,16 +69,14 @@ def _first(packed: int, length: int, symbol: int, target: int, lo: int, hi: int)
 
 def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
     """All codewords one insertion or deletion away from data (length n-1 or n+1)."""
-    coeffs = _coefficients(cp.n, cp.r_hat, cp.d)
+    # the head coefficients a_1 .. a_(r_hat+2); the steps after them are all 1
+    coeffs = _coefficients(cp.r_hat + 1, cp.r_hat, cp.d)
     modulus = cp.modulus
     length = len(data)
     # one bit per symbol: a shift and a popcount then count the ones of any
     # prefix without a data-dependent branch per symbol
     packed = int(data.translate(_TO_ASCII), 2)
-    if length < _SLICED_FROM_PACKED:
-        weight = sum(compress(coeffs, data))
-    else:
-        weight = _sliced_sum(cp, data, packed)
+    weight = _weight(cp, data, packed)
     ones = packed.bit_count()
     # 0-based index lo is position r_hat + 2; from there on coeffs[p] = base + p
     lo = cp.r_hat + 1

@@ -41,19 +41,19 @@ sentinel appended.
 tests/reference.py keeps the restart-from-symbol-0 loop as the reference
 the tests compare this encoder against.
 
-Decodability bound: FrontParams rejects k >= 2^r + r - 6, which leaves out
-the two lengths 2^r + r - 6 and 2^r + r - 5 below the feasibility bound. What
-fails there depends on r. For r >= 5 the encoder itself is not injective at
-both lengths: a pointer's high ones, then the sentinel, then a one-symbol
-tail spell a (1^(r-1) 0) count block, so two messages share a codeword. At
-r = 5, k = 31, 000000000001100000000000000000 and
-001011100101001100001001000001 both encode to
-0010111001010011000010010011110. For r <= 4 the encoder is injective at both
-lengths (checked exhaustively at r = 3 and r = 4), and only the decoder's
-parse fails: it reads the replacement count from the right, greedily
-stripping (1^(r-1) 0) blocks and then zeros, and strips a spurious block for
-some messages. No collision and no parse failure has been seen at an
-accepted length; k <= 2^r + r - 7 round-trips exhaustively for every tested r.
+Decodability bound: FrontParams rejects k > 2^r + r - 7 with one check, which
+leaves out the two lengths 2^r + r - 6 and 2^r + r - 5 below the feasibility
+bound; its text gives the reason for the given r. What fails there depends on
+r. For r >= 5 the encoder itself is not injective at both lengths: a pointer's
+high ones, then the sentinel, then a one-symbol tail spell a (1^(r-1) 0) count
+block, so two messages share a codeword. At r = 5, k = 31,
+000000000001100000000000000000 and 001011100101001100001001000001 both encode
+to 0010111001010011000010010011110. For r <= 4 the encoder is injective at
+both lengths (checked exhaustively at r = 3 and r = 4), and only the decoder's
+parse fails: it reads the replacement count from the right, greedily stripping
+(1^(r-1) 0) blocks and then zeros, and strips a spurious block for some
+messages. No collision and no parse failure has been seen at an accepted
+length; k <= 2^r + r - 7 round-trips exhaustively for every tested r.
 """
 from __future__ import annotations
 
@@ -86,15 +86,15 @@ class FrontParams(_FrontFields):
         if self.k < 2:
             raise ValidationError(f"output length must be at least 2 (got k={self.k})")
         cap = feasibility_bound(self.r)
-        if self.k > cap:
-            raise ValidationError(
-                f"k={self.k} exceeds the feasibility bound 2^r + r - 5 = {cap} for r={self.r}"
-            )
         if self.k > cap - 2:
+            why = (
+                "the encoder is not injective" if self.r >= 5
+                else "the replacement-count parse is ambiguous"
+            )
             raise ValidationError(
-                f"k={self.k} with r={self.r} is rejected: the replacement-count parse "
-                f"is ambiguous for k > 2^r + r - 7 = {cap - 2} and the exhaustive "
-                f"round-trip check fails"
+                f"k={self.k} with r={self.r} is rejected: the front end accepts "
+                f"k <= 2^r + r - 7 = {cap - 2}, two below the feasibility bound "
+                f"2^r + r - 5 = {cap}; at 2^r + r - 6 and 2^r + r - 5 {why}"
             )
         return self
 
@@ -266,7 +266,4 @@ def front_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
 
 def front_decode(y: BitSeq, fp: FrontParams) -> BitSeq:
     """Inverse of front_encode."""
-    k = fp.k
-    if len(y) != k:
-        raise DataError(f"word length {len(y)} != k = {k}")
-    return BitSeq._wrap(_wi_decode(nrzi_decode(y).tobytes(), k, fp.r))
+    return wi_decode(nrzi_decode(y), fp)

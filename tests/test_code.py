@@ -1,7 +1,8 @@
 """Parameter derivation, coefficient sequence, and the congruence embedder."""
 import hashlib
 import random
-from itertools import compress, islice
+import tracemalloc
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from rllindel.bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, is_rll
 from rllindel.code import (
     _SLICED_FROM,
-    _SLICED_FROM_PACKED,
     CodeParams,
     _coefficients,
+    _index_masks,
     _sliced_sum,
     coefficient_value,
     d_range,
@@ -151,14 +152,16 @@ class TestWeightedSum:
         assert r_hat_seen == {4, 5, 6}
 
 
-def _reference_sum(cp, data, start=0):
-    """The compress pass that _sliced_sum replaces above the length thresholds."""
-    return sum(compress(islice(_coefficients(cp.n, cp.r_hat, cp.d), start, None), data))
+def _reference_sum(cp, data):
+    """The compress pass that _sliced_sum replaces from _SLICED_FROM symbols on."""
+    return sum(compress(_coefficients(cp.n, cp.r_hat, cp.d), data))
 
 
 def _check_sliced(cp, data, start=0):
+    # sigma weighs the message part behind start zero parity symbols
+    data = bytes(start) + data
     packed = int(data.translate(_TO_ASCII), 2)
-    assert _sliced_sum(cp, data, packed, start) == _reference_sum(cp, data, start)
+    assert _sliced_sum(cp, data, packed) == _reference_sum(cp, data)
 
 
 def _summed_lengths(cp):
@@ -167,14 +170,12 @@ def _summed_lengths(cp):
     return [(length, start) for length, start in pairs if length >= 1]
 
 
-# code lengths straddling both thresholds, plus the longest benchmarked block
-STRADDLING = sorted(
-    {n for t in (_SLICED_FROM, _SLICED_FROM_PACKED) for n in range(t - 2, t + 3)} | {4015}
-)
+# code lengths straddling the one threshold, plus the longest benchmarked block
+STRADDLING = [*range(_SLICED_FROM - 2, _SLICED_FROM + 3), 4015]
 
 
 class TestSlicedSum:
-    """_sliced_sum against sum(compress(islice(coefficients, start, None), data))."""
+    """_sliced_sum against sum(compress(coefficients, data))."""
 
     @pytest.mark.parametrize("r_hat", [4, 5, 6])
     def test_every_length_to_64(self, r_hat):
@@ -212,7 +213,7 @@ class TestSlicedSum:
 
     def test_mu_and_sigma_either_side_of_the_threshold(self):
         # at r = 8, k = 186 .. 205 gives n = 197 .. 216: mu and the parity
-        # sigma each switch to the sliced sum inside this band
+        # sigma, which both weigh n symbols, switch to the sliced sum at n = 200
         rng = random.Random(8)
         for k in range(_SLICED_FROM - 14, _SLICED_FROM + 6):
             cp = derive_params(k, 8, b=rng.randrange(256 + k + 2))
@@ -223,6 +224,23 @@ class TestSlicedSum:
                 for p_m in (0, 1):
                     w = parity_word(cp, p_rhat, p_m, y) + y
                     assert _reference_sum(cp, w.tobytes()) % cp.modulus == cp.b
+
+    def test_memory_follows_the_head_not_n(self):
+        # k = 10^6 at r = 20 (accepted): the sliced sum packs the word and
+        # reads r_hat + 2 coefficients, so no table of n coefficients (about
+        # 40 bytes a symbol) is built
+        cp = derive_params(10**6, 20)
+        z = BitSeq(b"\x01" * cp.n)
+        _coefficients.cache_clear()
+        _index_masks.cache_clear()
+        tracemalloc.start()
+        try:
+            weight = mu(cp, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cp.n
+        assert weight == sum(coefficient_value(i, cp.r_hat, cp.d) for i in range(1, cp.n + 1))
 
 
 class TestParity:

@@ -80,9 +80,9 @@ class TestDecodeMessage:
 
 
 # (k, r) pairs spanning r_hat = 4 .. 12, each with the smallest usable run limit;
-# at k = 138 the received lengths n - 1 = 148 and n + 1 = 150 straddle the
-# length from which candidates switches to the sliced weighted sum
-SIZES = [(7, 4), (13, 4), (60, 6), (138, 8), (250, 8), (1000, 10), (4000, 12)]
+# at k = 188 the received lengths n - 1 = 198 and n + 1 = 200 straddle the
+# length from which code._weight switches to the sliced weighted sum
+SIZES = [(7, 4), (13, 4), (60, 6), (138, 8), (188, 8), (250, 8), (1000, 10), (4000, 12)]
 
 
 def _random_params(k, r, rng):

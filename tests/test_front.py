@@ -133,7 +133,7 @@ class TestReplacement:
         word = BitSeq("0010111001010011000010010011110").tobytes()
         for message in ("000000000001100000000000000000", "001011100101001100001001000001"):
             assert _wi_encode(BitSeq(message).tobytes(), 31, 5) == word
-        with pytest.raises(ValidationError, match="ambiguous"):
+        with pytest.raises(ValidationError, match="not injective"):
             FrontParams(31, 5)
 
     def test_memory_follows_replacements_not_k(self):
