@@ -7,17 +7,20 @@ can ever be forced to fail: a fallback failure requires two forbidden parity
 words whose weighted sums differ by a multiple of the congruence modulus,
 and the sweep below enumerates every such pair over a whole parameter band.
 
-The interval story behind the sweep: collect the collision quantity
-A = rho(p1) + d - rho(p0) over all forbidden pairs into three contiguous
-families C1 < C2 < C3, and let D be the range of the modulus over the band.
-The chain C1 < C2 < D <= C3 < 2*D leaves one touching point, D.upper ==
-C3.lower, and only for the narrowest band. That single point is the
-(k, r, d) = (14, 4, 5) exclusion enforced by derive_params.
+The interval story behind the sweep: the collision quantity
+A = rho(p1) + d - rho(p0), over all forbidden pairs and all d, falls into
+three contiguous families C1 < C2 < C3, and D is the range of the modulus
+over the band. The sweep reads the families off its own enumeration, as the
+maximal runs of consecutive values of A, rather than from formulas, so the
+chain it reports is a statement about the data. The chain C1 < C2 < D <= C3
+< 2*D leaves one touching point, D.upper == C3.lower, and only for the
+narrowest band. That single point is the (k, r, d) = (14, 4, 5) exclusion
+enforced by derive_params.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bitseq import BitSeq, is_rll, le_encode
 from .code import CodeParams, coefficient_value, d_range
@@ -57,12 +60,7 @@ def psi(n: float) -> float:
     return 2.0**n - 2.0 - 2.0 * (n - 1) * _LN2
 
 
-class _RowFields(NamedTuple):
-    n: int
-    r_hat: int
-    redundancy: int
-    phi: float
-    gap: float
+_RowFields = namedtuple("_RowFields", "n r_hat redundancy phi gap")
 
 
 class AnalysisRow(_RowFields):
@@ -133,14 +131,7 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
 _EXPECTED_COLLISIONS: dict[int, tuple[tuple[int, int, int], ...]] = {4: ((14, 5, 32),)}
 
 
-class _GapFields(NamedTuple):
-    r_hat: int
-    c1: tuple[int, int]
-    c2: tuple[int, int]
-    c3: tuple[int, int]
-    d_interval: tuple[int, int]
-    disjoint: bool
-    collisions: tuple[tuple[int, int, int], ...]
+_GapFields = namedtuple("_GapFields", "r_hat c1 c2 c3 d_interval disjoint collisions")
 
 
 class GapReport(_GapFields):
@@ -205,24 +196,15 @@ class GapReport(_GapFields):
         return "\n".join(self.lines()) + "\n"
 
 
-def _interval_union(parts) -> tuple[int, int]:
-    parts = sorted(parts)
-    lo, hi = parts[0]
-    for part_lo, part_hi in parts[1:]:
-        if part_lo > hi + 1:
-            raise InvariantError("collision-value family is not a contiguous interval")
-        hi = max(hi, part_hi)
-    return lo, hi
-
-
 def gap_condition_check(r_hat: int) -> GapReport:
     """Sweep one blocklength band for parity pairs that defeat the fallback.
 
     For every k in the band, every weight d, and every pair of forbidden
     parity words with matching last symbol (first-pass shape p0 against
     fallback shape p1), tests whether A = rho(p1) + d - rho(p0) is a multiple
-    of the modulus. Also reports the three collision-value families as
-    intervals, unioned over the d range, and the modulus range itself.
+    of the modulus. Also reports the modulus range and the collision-value
+    families, the maximal runs of consecutive values of A over all pairs and
+    all d; raises InvariantError unless there are exactly three.
     """
     if not 4 <= r_hat <= 12:
         raise ValidationError(f"sweep supports 4 <= r_hat <= 12 (got {r_hat})")
@@ -241,18 +223,27 @@ def gap_condition_check(r_hat: int) -> GapReport:
     moduli = {
         k: CodeParams.unchecked(k, r_hat, r_hat, d_lo, 0).modulus for k in range(k_lo, k_hi + 1)
     }
-    hits = set()
-    for k, modulus in moduli.items():
-        for d in range(d_lo, d_hi + 1):
-            for diff in diffs:
-                a_value = diff + d
-                if a_value % modulus == 0:
-                    hits.add((k, d, a_value))
-    base = 1 << r_hat
-    d_values = range(d_lo, d_hi + 1)
-    c1 = _interval_union((d - 1, d - 1) for d in d_values)
-    c2 = _interval_union((d + base - 4, d + base - 1) for d in d_values)
-    c3 = _interval_union((d + 2 * base - 5, d + 2 * base - 1) for d in d_values)
+    by_value = {}  # each collision value A -> the weights d that reach it
+    for d in range(d_lo, d_hi + 1):
+        for diff in diffs:
+            by_value.setdefault(diff + d, []).append(d)
+    hits = {
+        (k, d, a)
+        for k, modulus in moduli.items()
+        for a, ds in by_value.items()
+        if a % modulus == 0
+        for d in ds
+    }
+    # the maximal runs of consecutive collision values: each starts at a value
+    # without a predecessor and ends at the next value without a successor
+    values = sorted(by_value)
+    runs = list(zip(
+        [a for a in values if a - 1 not in by_value],
+        [a for a in values if a + 1 not in by_value],
+    ))
+    if len(runs) != 3:
+        raise InvariantError(f"collision values form {len(runs)} runs, not three families")
+    c1, c2, c3 = runs
     collisions = tuple(sorted(hits))
     return GapReport(
         r_hat=r_hat,

@@ -75,14 +75,17 @@ _FrontFields = namedtuple("_FrontFields", "k r")
 
 
 class FrontParams(_FrontFields):
-    """Front-end shape: output length k and target maximum run-length r, validated."""
+    """Front-end shape: output length k and target maximum run-length r, validated.
+
+    r must be at least 3, as the count tail omega needs t = r - 1 >= 2.
+    """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "FrontParams":
         self = super().__new__(cls, *args, **kwargs)
-        if self.r < 2:
-            raise ValidationError(f"run limit must be at least 2 (got r={self.r})")
+        if self.r < 3:
+            raise ValidationError(f"run limit must be at least 3 (got r={self.r})")
         if self.k < 2:
             raise ValidationError(f"output length must be at least 2 (got k={self.k})")
         cap = feasibility_bound(self.r)

@@ -12,7 +12,10 @@ Reports render as two text lines: a human-readable
 The channel campaign can split its trials into contiguous index blocks and
 run them in forked child processes at once. Every trial seeds itself from
 (base seed, index), and the parent joins the blocks' results in index order,
-so the report, digest included, is the same however many blocks run.
+so the report, digest included, is the same however many blocks run. If any
+block yields no result, all trials run once more serially in this process,
+which raises or reports exactly as a serial run; there is no other failure
+path.
 """
 from __future__ import annotations
 
@@ -311,8 +314,9 @@ def check_channel_campaign(
     only; call it from a process without other threads), the last in this
     process. The blocks' log text is hashed in index order, their failures
     summed and the lowest-index counterexample kept, so the report is the
-    same for every jobs. A block whose child fails is run again in this
-    process, so a trial that raises surfaces exactly as in a serial run.
+    same for every jobs. If any block yields no result (its child failed or
+    never started, or the last block raised), every trial runs once more
+    serially in this process, which raises or reports exactly as jobs=1.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1 (got jobs={jobs})")
@@ -322,7 +326,9 @@ def check_channel_campaign(
     digest = hashlib.sha256()
     failures = 0
     counterexample = None
-    for text, block_failures, first in _campaign_blocks(cp, fp, base_seed, bounds):
+    blocks = _campaign_blocks(cp, fp, base_seed, bounds) if jobs > 1 else None
+    # jobs=1, or a block gave no result: every trial runs here, as one serial block
+    for text, block_failures, first in blocks or [_campaign_block(cp, fp, base_seed, 0, trials)]:
         digest.update(text.encode())
         failures += block_failures
         counterexample = counterexample or first
@@ -358,36 +364,27 @@ def _campaign_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi
     return "".join(lines), failures, counterexample
 
 
-def _campaign_blocks(cp: CodeParams, fp: FrontParams, base_seed: int, bounds: list) -> list:
-    """_campaign_block over each (lo, hi) of bounds, in order; all but the last run forked."""
+def _campaign_blocks(cp: CodeParams, fp: FrontParams, base_seed: int, bounds: list):
+    """_campaign_block over each (lo, hi) of bounds, in order; all but the last run forked.
+
+    None if any block yields no result: its child failed or never started, or it raised here.
+    """
     pending = []  # (pid, pipe read end), or None where no child started, in block order
     try:
         for lo, hi in bounds[:-1]:
             pending.append(_fork_block(cp, fp, base_seed, lo, hi))
-        try:
-            last = _campaign_block(cp, fp, base_seed, *bounds[-1])
-        except Exception as exc:  # raised below, unless an earlier block raises first
-            last = exc
-        outputs = []
+        last = _campaign_block(cp, fp, base_seed, *bounds[-1])
+        results = []
         while pending:
             child = pending.pop(0)
-            outputs.append(child and _collect(*child))
+            results.append(child and _collect(*child))
+    except Exception:  # the caller's serial rerun raises it again
+        return None
     finally:
         for child in filter(None, pending):
             os.close(child[1])
             os.waitpid(child[0], 0)
-    results = []
-    for (lo, hi), data in zip(bounds, outputs):
-        if data is None:
-            # no result from a child: run the block here, so a trial's exception surfaces
-            results.append(_campaign_block(cp, fp, base_seed, lo, hi))
-        else:
-            failures, first, text = data.split("\n", 2)
-            results.append((text, int(failures), first or None))
-    if isinstance(last, Exception):
-        raise last
-    results.append(last)
-    return results
+    return None if None in results else results + [last]
 
 
 def _fork_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi: int):
@@ -417,11 +414,14 @@ def _fork_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi: in
     return pid, rfd
 
 
-def _collect(pid: int, fd: int) -> str | None:
-    """What a child wrote to its pipe, or None if it failed; closes the pipe and reaps the child."""
+def _collect(pid: int, fd: int) -> tuple | None:
+    """The block result a child wrote to its pipe, or None if it failed; closes the pipe, reaps."""
     try:
         with open(fd, "rb") as pipe:
             data = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
-    return data.decode() if status == 0 else None
+    if status:
+        return None
+    failures, first, text = data.decode().split("\n", 2)
+    return text, int(failures), first or None

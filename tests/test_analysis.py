@@ -3,6 +3,7 @@ from itertools import groupby
 
 import pytest
 
+from rllindel import analysis
 from rllindel.analysis import (
     AnalysisRow,
     GapReport,
@@ -17,6 +18,7 @@ from rllindel.analysis import (
     rho,
 )
 from rllindel.bitseq import BitSeq
+from rllindel.code import d_range
 from rllindel.errors import DataError, InvariantError, ValidationError
 
 
@@ -173,6 +175,17 @@ class TestGapCondition:
             assert report.chain_holds()
             touching = report.d_interval[1] == report.c3[0]
             assert touching == (r_hat == 4)
+            # the families read off the sweep match the closed forms over the d range
+            (d_lo, d_hi), base = d_range(r_hat), 1 << r_hat
+            assert report.c1 == (d_lo - 1, d_hi - 1)
+            assert report.c2 == (d_lo + base - 4, d_hi + base - 1)
+            assert report.c3 == (d_lo + 2 * base - 5, d_hi + 2 * base - 1)
+
+    def test_families_that_are_not_three_runs_raise(self, monkeypatch):
+        # d up to 16 at r_hat = 4 makes the values of C2 and C3 meet at 31, 32
+        monkeypatch.setattr(analysis, "d_range", lambda r_hat: (5, 16))
+        with pytest.raises(InvariantError, match="form 2 runs, not three families"):
+            gap_condition_check(4)
 
     def test_render_format(self):
         lines = gap_condition_check(4).lines()

@@ -205,6 +205,14 @@ class TestImportSet:
             "digest=85df0c409a875d3e7b99fdae37dd36e92413269eb1a435b8a2886ea66cac6d61"
         )
 
+    def test_analysis_commands_load_no_typing(self):
+        stdout, loaded = loaded_after(
+            ("analyze", "redundancy", "--n-min", "14", "--n-max", "20"),
+            ("verify", "gap-condition", "--rhat", "4"),
+        )
+        assert stdout.splitlines()[-1].startswith("check=gap-condition r_hat=4 result=pass ")
+        assert "rllindel.analysis" in loaded and "typing" not in loaded
+
 
 # Each input has a bad second line, so an ERROR line and exit code 3 fall
 # in the middle of the run.
@@ -287,7 +295,8 @@ BAD_PARAMETERS = [
         "verify front-roundtrip --k 14 --r 5",
         "exhaustive round-trip check is capped at k = 13 (got k=14)",
     ),
-    ("verify front-roundtrip --k 5 --r 1", "run limit must be at least 2 (got r=1)"),
+    ("verify front-roundtrip --k 5 --r 1", "run limit must be at least 3 (got r=1)"),
+    ("verify front-roundtrip --k 3 --r 2", "run limit must be at least 3 (got r=2)"),
     (
         "verify sidc --n-min 16 --n-max 17 --rhat 4 --d 6",
         "ball-disjointness check is capped at n = 16 (got n=17)",

@@ -267,6 +267,21 @@ class TestShardedCampaign:
         monkeypatch.setattr(oracle.os, "fork", no_fork)
         assert check_channel_campaign(13, 4, 301, 9, jobs=3).render() == serial
 
+    def test_child_that_exits_without_a_result(self, monkeypatch):
+        serial = check_channel_campaign(13, 4, 301, 9).render()
+        block = oracle._campaign_block
+        parent = os.getpid()
+
+        def dies_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return block(*args)
+
+        monkeypatch.setattr(oracle, "_campaign_block", dies_in_a_child)
+        for jobs in (2, 3):
+            assert check_channel_campaign(13, 4, 301, 9, jobs=jobs).render() == serial
+            assert_no_child_left()
+
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValidationError):
             check_channel_campaign(13, 4, 10, 1, jobs=0)
