@@ -16,16 +16,23 @@ chain it reports is a statement about the data. The chain C1 < C2 < D <= C3
 < 2*D leaves one touching point, D.upper == C3.lower, and only for the
 narrowest band. That single point is the (k, r, d) = (14, 4, 5) exclusion
 enforced by derive_params.
+
+The sweep reports through oracle.Report, as the verification suites do: the
+families and D as `lo..hi` stats, the chain as yes/no, and the collision
+list as the counterexample, which the report prints on PASS as well, so the
+expected (14, 5, 32) collision at r_hat = 4 stays visible.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import compress
 
 from .bitseq import BitSeq, is_rll, le_encode
-from .code import CodeParams, coefficient_value, d_range
+from .code import CodeParams, _coefficients, d_range
 from .errors import DataError, InvariantError, ValidationError
 from .front import feasibility_bound
+from .oracle import Report
 
 _LN2 = math.log(2)
 
@@ -91,19 +98,15 @@ def redundancy_row(n: int) -> AnalysisRow:
 
 
 def rho(r_hat: int, p: BitSeq) -> int:
-    """Weighted sum of a parity word over all positions except the solved one.
+    """Weighted sum of a parity word's positions 1 .. r_hat + 2 at d = 0.
 
-    The solved index r_hat is the only one weighted by d, so the result never
-    depends on d.
+    Over the head coefficients with d = 0 the solved index r_hat weighs 0,
+    and it is the only index weighted by d, so the result never depends on d.
     """
     m = r_hat + 3
     if len(p) != m:
         raise DataError(f"parity word length {len(p)} != r_hat + 3 = {m}")
-    total = 0
-    for i in range(1, m):
-        if i != r_hat and p[i - 1]:
-            total += coefficient_value(i, r_hat, 0)
-    return total
+    return sum(compress(_coefficients(r_hat + 1, r_hat, 0), p))
 
 
 def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
@@ -131,72 +134,7 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
 _EXPECTED_COLLISIONS: dict[int, tuple[tuple[int, int, int], ...]] = {4: ((14, 5, 32),)}
 
 
-_GapFields = namedtuple("_GapFields", "r_hat c1 c2 c3 d_interval disjoint collisions")
-
-
-class GapReport(_GapFields):
-    """Result of one collision sweep: interval geometry plus any residue hits.
-
-    collisions holds (k, d, A) triples with A a multiple of the modulus for
-    that k; d_interval is the modulus range over the swept band.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "GapReport":
-        self = super().__new__(cls, *args, **kwargs)
-        for name, (lo, hi) in (
-            ("c1", self.c1),
-            ("c2", self.c2),
-            ("c3", self.c3),
-            ("d_interval", self.d_interval),
-        ):
-            if lo > hi:
-                raise InvariantError(f"interval {name} is empty: ({lo}, {hi})")
-        if self.disjoint != (len(self.collisions) == 0):
-            raise InvariantError("disjoint flag disagrees with the collision list")
-        return self
-
-    def chain_holds(self) -> bool:
-        """Interval chain with the boundary touch exactly at the narrowest band."""
-        c1, c2, c3, dd = self.c1, self.c2, self.c3, self.d_interval
-        ordered = (
-            0 < c1[0] <= c1[1] < c2[0] <= c2[1] < dd[0] <= dd[1] <= c3[0] <= c3[1] < 2 * dd[0]
-        )
-        boundary = (dd[1] == c3[0]) == (self.r_hat == 4)
-        return ordered and boundary
-
-    @property
-    def passed(self) -> bool:
-        """True when the hits are exactly the known exclusion and the chain holds."""
-        expected = _EXPECTED_COLLISIONS.get(self.r_hat, ())
-        return set(self.collisions) == set(expected) and self.chain_holds()
-
-    def lines(self) -> list[str]:
-        passed = self.passed
-        head = f"CHECK gap-condition r_hat={self.r_hat} {'PASS' if passed else 'FAIL'}"
-        if self.collisions:
-            head += " " + ";".join(f"(k={k},d={d},A={a})" for k, d, a in self.collisions)
-        summary = " ".join(
-            [
-                "check=gap-condition",
-                f"r_hat={self.r_hat}",
-                f"result={'pass' if passed else 'fail'}",
-                f"c1={self.c1[0]}..{self.c1[1]}",
-                f"c2={self.c2[0]}..{self.c2[1]}",
-                f"c3={self.c3[0]}..{self.c3[1]}",
-                f"d_interval={self.d_interval[0]}..{self.d_interval[1]}",
-                f"chain={'yes' if self.chain_holds() else 'no'}",
-                f"collisions={len(self.collisions)}",
-            ]
-        )
-        return [head, summary]
-
-    def render(self) -> str:
-        return "\n".join(self.lines()) + "\n"
-
-
-def gap_condition_check(r_hat: int) -> GapReport:
+def gap_condition_check(r_hat: int) -> Report:
     """Sweep one blocklength band for parity pairs that defeat the fallback.
 
     For every k in the band, every weight d, and every pair of forbidden
@@ -204,7 +142,9 @@ def gap_condition_check(r_hat: int) -> GapReport:
     fallback shape p1), tests whether A = rho(p1) + d - rho(p0) is a multiple
     of the modulus. Also reports the modulus range and the collision-value
     families, the maximal runs of consecutive values of A over all pairs and
-    all d; raises InvariantError unless there are exactly three.
+    all d; raises InvariantError unless there are exactly three. Passes when
+    the families and the modulus range form the chain and the collisions are
+    exactly the expected ones for r_hat.
     """
     if not 4 <= r_hat <= 12:
         raise ValidationError(f"sweep supports 4 <= r_hat <= 12 (got {r_hat})")
@@ -244,15 +184,23 @@ def gap_condition_check(r_hat: int) -> GapReport:
     if len(runs) != 3:
         raise InvariantError(f"collision values form {len(runs)} runs, not three families")
     c1, c2, c3 = runs
-    collisions = tuple(sorted(hits))
-    return GapReport(
-        r_hat=r_hat,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        d_interval=(moduli[k_lo], moduli[k_hi]),
-        disjoint=not collisions,
-        collisions=collisions,
+    dd = (moduli[k_lo], moduli[k_hi])
+    # the chain C1 < C2 < D <= C3 < 2*D, touching at D.upper == C3.lower only at r_hat = 4
+    chain = (
+        0 < c1[0] <= c1[1] < c2[0] <= c2[1] < dd[0] <= dd[1] <= c3[0] <= c3[1] < 2 * dd[0]
+    ) and (dd[1] == c3[0]) == (r_hat == 4)
+    collisions = sorted(hits)
+    families = zip(("c1", "c2", "c3", "d_interval"), (c1, c2, c3, dd))
+    return Report(
+        name="gap-condition",
+        params={"r_hat": r_hat},
+        passed=chain and hits == set(_EXPECTED_COLLISIONS.get(r_hat, ())),
+        counterexample=";".join(f"(k={k},d={d},A={a})" for k, d, a in collisions) or None,
+        stats={
+            **{name: f"{lo}..{hi}" for name, (lo, hi) in families},
+            "chain": "yes" if chain else "no",
+            "collisions": len(collisions),
+        },
     )
 
 

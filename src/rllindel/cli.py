@@ -57,9 +57,13 @@ def _for_each_line(transform: Callable[[int, str], object], logged: bool = False
     Each line takes one write, so an unbuffered stdout makes one system call
     per line. With logged, transform returns (result, log) and the log line
     goes to stderr right after its result. A DataError is reported as
-    `ERROR number reason` on stderr and the next line goes on.
+    `ERROR number reason` on stderr and the next line goes on. A byte stdin's
+    encoding cannot decode becomes a lone surrogate, which fails its line as
+    an invalid character, whatever error handler stdin was opened with.
     """
     out, err = sys.stdout, sys.stderr
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(errors="surrogateescape")
     failed = False
     for number, raw in enumerate(sys.stdin, start=1):
         try:

@@ -234,7 +234,15 @@ def wi_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
 
 
 def wi_decode(x: BitSeq, fp: FrontParams) -> BitSeq:
-    """Invert wi_encode; raises DataError on words the encoder cannot emit."""
+    """Invert wi_encode on every word it emits.
+
+    Raises DataError on a word of the wrong length, a word with a run of r
+    zeros, and a word whose replacement count or undo steps do not parse (no
+    sentinel symbol, or trailing symbols that are neither a valid pointer nor
+    the end marker). Other words the encoder never emits can still parse: at
+    (k, r) = (10, 4), 1010101000 decodes to 000010000, which encodes to
+    1000101000. Re-encoding the result is the only membership test.
+    """
     if len(x) != fp.k:
         raise DataError(f"word length {len(x)} != k = {fp.k}")
     return BitSeq._wrap(_wi_decode(x.tobytes(), fp.k, fp.r))

@@ -5,9 +5,12 @@ enumeration rather than by trusting a derivation. Guards are hard caps with
 explicit errors: an "exhaustive" verdict must mean exhaustive, so oversized
 requests fail instead of silently sampling.
 
-Reports render as two text lines: a human-readable
-`CHECK <name> <params> PASS|FAIL [counterexample]` line and a machine-readable
-`key=value` summary line.
+Report is the one report type of the verification layer; the gap-condition
+sweep in analysis returns it too. It renders as two text lines: a
+human-readable `CHECK <name> <params> PASS|FAIL [counterexample]` line and a
+machine-readable `key=value` summary line. The counterexample is printed
+whenever it is set: the suites here set it only when they fail, the sweep
+also to the collision it expects.
 
 The channel campaign can split its trials into contiguous index blocks and
 run them in forked child processes at once. Every trial seeds itself from
@@ -64,7 +67,7 @@ class Report:
     def lines(self) -> list[str]:
         ptext = " ".join(f"{key}={value}" for key, value in self.params.items())
         head = f"CHECK {self.name} {ptext} {'PASS' if self.passed else 'FAIL'}"
-        if not self.passed and self.counterexample:
+        if self.counterexample:
             head += f" {self.counterexample}"
         summary = [f"check={self.name}", ptext, f"result={'pass' if self.passed else 'fail'}"]
         summary += [f"{key}={value}" for key, value in self.stats.items()]

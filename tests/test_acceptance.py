@@ -161,19 +161,20 @@ def test_10_bound_difference(criterion):
 def test_11_parity_collision_sweep(criterion):
     with criterion(11, "parity collision sweep", budget=60.0):
         report = gap_condition_check(4)
-        assert report.collisions == ((14, 5, 32),)
-        assert report.c1 == (4, 6)
-        assert report.c2 == (17, 22)
-        assert report.c3 == (32, 38)
-        assert report.d_interval == (25, 32)
-        assert not report.disjoint
-        assert report.chain_holds() and report.passed
-        assert report.d_interval[1] == report.c3[0]
+        assert report.counterexample == "(k=14,d=5,A=32)"
+        assert report.stats["c1"] == "4..6"
+        assert report.stats["c2"] == "17..22"
+        assert report.stats["c3"] == "32..38"
+        assert report.stats["d_interval"] == "25..32"
+        assert report.stats["collisions"] == 1
+        assert report.stats["chain"] == "yes" and report.passed
+        assert report.stats["d_interval"].split("..")[1] == report.stats["c3"].split("..")[0]
         for r_hat in range(5, 11):
             clean = gap_condition_check(r_hat)
-            assert clean.collisions == ()
-            assert clean.disjoint and clean.passed
-            assert clean.d_interval[1] < clean.c3[0]
+            assert clean.counterexample is None and clean.stats["collisions"] == 0
+            assert clean.passed
+            d_hi = int(clean.stats["d_interval"].split("..")[1])
+            assert d_hi < int(clean.stats["c3"].split("..")[0])
 
 
 def test_12_bound_growth(criterion):

@@ -6,7 +6,6 @@ import pytest
 from rllindel import analysis
 from rllindel.analysis import (
     AnalysisRow,
-    GapReport,
     emit_csv,
     forbidden_parities,
     g_bound,
@@ -17,8 +16,8 @@ from rllindel.analysis import (
     redundancy_row,
     rho,
 )
-from rllindel.bitseq import BitSeq
-from rllindel.code import d_range
+from rllindel.bitseq import BitSeq, le_encode
+from rllindel.code import coefficient_value, d_range
 from rllindel.errors import DataError, InvariantError, ValidationError
 
 
@@ -107,6 +106,17 @@ class TestRho:
         with pytest.raises(DataError):
             rho(4, BitSeq("000"))
 
+    def test_matches_the_per_position_sum(self):
+        # every position but the solved one and the last, each by its own coefficient
+        for r_hat in range(4, 8):
+            m = r_hat + 3
+            for mask in range(1 << m):
+                p = le_encode(mask, m)
+                expected = sum(
+                    coefficient_value(i, r_hat, 0) for i in range(1, m) if i != r_hat and p[i - 1]
+                )
+                assert rho(r_hat, p) == expected
+
 
 class TestForbiddenParities:
     def test_frozen_set_rhat4(self):
@@ -152,34 +162,38 @@ class TestForbiddenParities:
             forbidden_parities(4, 2)
 
 
+def families(report):
+    """c1, c2, c3 and d_interval of a sweep report as (lo, hi) pairs."""
+    names = ("c1", "c2", "c3", "d_interval")
+    return [tuple(map(int, report.stats[name].split(".."))) for name in names]
+
+
 class TestGapCondition:
     def test_rhat4_single_collision(self):
         report = gap_condition_check(4)
-        assert report.collisions == ((14, 5, 32),)
-        assert not report.disjoint
+        assert report.counterexample == "(k=14,d=5,A=32)"
+        assert report.stats["collisions"] == 1
         assert report.passed
-        assert (report.c1, report.c2, report.c3) == ((4, 6), (17, 22), (32, 38))
-        assert report.d_interval == (25, 32)
+        assert families(report) == [(4, 6), (17, 22), (32, 38), (25, 32)]
 
     def test_rhat5_clean(self):
         report = gap_condition_check(5)
-        assert report.disjoint and report.passed
-        assert report.c1 == (8, 14)
-        assert report.c2 == (37, 46)
-        assert report.c3 == (68, 78)
-        assert report.d_interval == (49, 64)
+        assert report.counterexample is None and report.stats["collisions"] == 0
+        assert report.passed
+        assert families(report) == [(8, 14), (37, 46), (68, 78), (49, 64)]
 
     def test_chain_with_boundary_touch_only_at_4(self):
         for r_hat in range(4, 11):
             report = gap_condition_check(r_hat)
-            assert report.chain_holds()
-            touching = report.d_interval[1] == report.c3[0]
+            assert report.stats["chain"] == "yes"
+            c1, c2, c3, d_interval = families(report)
+            touching = d_interval[1] == c3[0]
             assert touching == (r_hat == 4)
             # the families read off the sweep match the closed forms over the d range
             (d_lo, d_hi), base = d_range(r_hat), 1 << r_hat
-            assert report.c1 == (d_lo - 1, d_hi - 1)
-            assert report.c2 == (d_lo + base - 4, d_hi + base - 1)
-            assert report.c3 == (d_lo + 2 * base - 5, d_hi + 2 * base - 1)
+            assert c1 == (d_lo - 1, d_hi - 1)
+            assert c2 == (d_lo + base - 4, d_hi + base - 1)
+            assert c3 == (d_lo + 2 * base - 5, d_hi + 2 * base - 1)
 
     def test_families_that_are_not_three_runs_raise(self, monkeypatch):
         # d up to 16 at r_hat = 4 makes the values of C2 and C3 meet at 31, 32
@@ -192,17 +206,17 @@ class TestGapCondition:
         assert lines[0] == "CHECK gap-condition r_hat=4 PASS (k=14,d=5,A=32)"
         assert "collisions=1" in lines[1]
 
+    def test_unexpected_collision_fails(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_EXPECTED_COLLISIONS", {})
+        report = gap_condition_check(4)
+        assert not report.passed
+        assert report.lines()[0] == "CHECK gap-condition r_hat=4 FAIL (k=14,d=5,A=32)"
+
     def test_guards(self):
         with pytest.raises(ValidationError):
             gap_condition_check(3)
         with pytest.raises(ValidationError):
             gap_condition_check(13)
-
-    def test_report_invariants_enforced(self):
-        with pytest.raises(InvariantError):
-            GapReport(4, (4, 6), (17, 22), (32, 38), (25, 32), True, ((14, 5, 32),))
-        with pytest.raises(InvariantError):
-            GapReport(4, (6, 4), (17, 22), (32, 38), (25, 32), True, ())
 
 
 class TestEmitCsv:

@@ -215,14 +215,22 @@ class TestImportSet:
 
 
 # Each input has a bad second line, so an ERROR line and exit code 3 fall
-# in the middle of the run.
+# in the middle of the run. Each run also sets its environment: under
+# PYTHONIOENCODING=utf-8 stdin decodes strictly, and the byte 0xff (written
+# here as the surrogate it is read back as) must fail only its own line.
 STREAM_RUNS = {
-    "encode": (("encode", "--k", "13", "--r", "4"), "010011000101\n01x\n111111111111\n"),
+    "encode": (("encode", "--k", "13", "--r", "4"), "010011000101\n01x\n111111111111\n", {}),
+    "encode-bad-byte": (
+        ("encode", "--k", "13", "--r", "4"),
+        "010011000101\n01\udcff0\n010011000101\n",
+        {"PYTHONIOENCODING": "utf-8"},
+    ),
     "decode": (
         ("decode", "--k", "13", "--r", "4"),
         "10101010111011110010\n0101\n1010101011101111001\n",
+        {},
     ),
-    "corrupt": (("corrupt", "--seed", "7"), "001111010100001000010\nabc\n0000\n"),
+    "corrupt": (("corrupt", "--seed", "7"), "001111010100001000010\nabc\n0000\n", {}),
 }
 
 
@@ -231,16 +239,16 @@ def run_with(env_update, args, stdin, stderr=subprocess.PIPE):
     env.update(env_update)
     return subprocess.run(
         CMD + list(args), input=stdin, stdout=subprocess.PIPE, stderr=stderr,
-        text=True, timeout=300, env=env,
+        encoding="utf-8", errors="surrogateescape", timeout=300, env=env,
     )
 
 
 class TestOutputStreams:
     @pytest.mark.parametrize("command", sorted(STREAM_RUNS))
     def test_same_bytes_with_and_without_unbuffered_stdout(self, command):
-        args, stdin = STREAM_RUNS[command]
-        buffered = run_with({}, args, stdin)
-        unbuffered = run_with({"PYTHONUNBUFFERED": "1"}, args, stdin)
+        args, stdin, env = STREAM_RUNS[command]
+        buffered = run_with(env, args, stdin)
+        unbuffered = run_with({**env, "PYTHONUNBUFFERED": "1"}, args, stdin)
         assert buffered.returncode == unbuffered.returncode == 3
         assert (buffered.stdout, buffered.stderr) == (unbuffered.stdout, unbuffered.stderr)
         assert len(buffered.stdout.splitlines()) == 2
@@ -248,7 +256,7 @@ class TestOutputStreams:
         assert len(errors) == 1 and errors[0].startswith("ERROR 2 ")
 
     def test_corrupt_logs_each_line_right_after_its_output(self):
-        args, stdin = STREAM_RUNS["corrupt"]
+        args, stdin, _ = STREAM_RUNS["corrupt"]
         apart = run_with({"PYTHONUNBUFFERED": "1"}, args, stdin)
         merged = run_with({"PYTHONUNBUFFERED": "1"}, args, stdin, stderr=subprocess.STDOUT)
         words = apart.stdout.splitlines()

@@ -106,6 +106,14 @@ class TestReplacement:
         with pytest.raises(DataError, match="undo step 4"):
             wi_decode(BitSeq("1111111110"), fp)
 
+    def test_decode_accepts_a_word_the_encoder_does_not_emit(self):
+        # the undo checks only that the word parses: this one decodes to a
+        # message whose encoding is another word
+        fp = FrontParams(10, 4)
+        u = wi_decode(BitSeq("1010101000"), fp)
+        assert u == BitSeq("000010000")
+        assert str(wi_encode(u, fp)) == "1000101000"
+
     def test_exhaustive_round_trip_k9_r4(self):
         fp = FrontParams(9, 4)
         seen = set()
