@@ -118,11 +118,17 @@ def _check_symbols(data: bytes) -> None:
                 raise DataError(f"symbol at position {pos} is {value}, expected 0 or 1")
 
 
-def is_rll(s: BitSeq, r: int) -> bool:
-    """True iff no run in s is longer than r."""
+def _run_patterns(r: int) -> tuple[bytes, bytes]:
+    """The two runs one longer than the limit r, 0^(r+1) and 1^(r+1)."""
     if r < 1:
         raise ValidationError(f"run limit must be at least 1 (got r={r})")
-    return b"\x00" * (r + 1) not in s._data and b"\x01" * (r + 1) not in s._data
+    return b"\x00" * (r + 1), b"\x01" * (r + 1)
+
+
+def is_rll(s: BitSeq, r: int) -> bool:
+    """True iff no run in s is longer than r."""
+    zeros, ones = _run_patterns(r)
+    return zeros not in s._data and ones not in s._data
 
 
 def is_zero_constrained(s: BitSeq, r: int) -> bool:

@@ -10,7 +10,11 @@ Exit codes are part of the contract: 0 success, 1 usage, 2 parameter
 validation, 3 data error on at least one input line, 4 verification failure.
 The library rejects input only with CodecError subclasses; main maps a
 ValidationError to 2 and a DataError to 3, and the per-line commands report
-a DataError for its line and carry on with the next.
+a DataError for its line and carry on with the next. A per-line command
+also exits 1, without a traceback, when its standard input or output is
+closed (with one `rllindel: error: standard input is closed` or `output`
+line on stderr, if stderr is open) or when the reader of its output leaves
+early (a broken pipe, silently).
 
 Start-up is part of every command's cost, so this module loads only the
 codec: the channel, the oracles and the analysis are imported by the
@@ -31,6 +35,7 @@ from .front import cached_front_params, front_encode
 
 EXIT_OK = 0
 EXIT_USAGE = 1
+EXIT_STREAM = 1
 EXIT_VALIDATION = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
@@ -59,25 +64,37 @@ def _for_each_line(transform: Callable[[int, str], object], logged: bool = False
     goes to stderr right after its result. A DataError is reported as
     `ERROR number reason` on stderr and the next line goes on. A byte stdin's
     encoding cannot decode becomes a lone surrogate, which fails its line as
-    an invalid character, whatever error handler stdin was opened with.
+    an invalid character, whatever error handler stdin was opened with. A
+    closed stdin or stdout, or a broken pipe, ends the run with EXIT_STREAM.
     """
     out, err = sys.stdout, sys.stderr
+    for stream, name in ((sys.stdin, "input"), (out, "output")):
+        if stream is None:
+            if err is not None:
+                err.write(f"rllindel: error: standard {name} is closed\n")
+            return EXIT_STREAM
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="surrogateescape")
     failed = False
-    for number, raw in enumerate(sys.stdin, start=1):
-        try:
-            result = transform(number, raw.strip())
-        except DataError as exc:
-            failed = True
-            err.write(f"ERROR {number} {exc}\n")
-            continue
-        if logged:
-            result, log = result
-            out.write(f"{result}\n")
-            err.write(f"{log}\n")
-        else:
-            out.write(f"{result}\n")
+    try:
+        for number, raw in enumerate(sys.stdin, start=1):
+            try:
+                result = transform(number, raw.strip())
+            except DataError as exc:
+                failed = True
+                err.write(f"ERROR {number} {exc}\n")
+                continue
+            if logged:
+                result, log = result
+                out.write(f"{result}\n")
+                err.write(f"{log}\n")
+            else:
+                out.write(f"{result}\n")
+    except BrokenPipeError:
+        # the reader left; the output still buffered goes to the null device
+        # at exit, so its flush cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return EXIT_STREAM
     return EXIT_DATA if failed else EXIT_OK
 
 

@@ -32,6 +32,14 @@ a separator fixed to the complement of y_1; if the first parity draft carries
 a run longer than r, flipping position r_hat and re-solving repairs it for
 every valid parameter set except the excluded triple (k, r, d) = (14, 4, 5).
 
+Bytes inside: _embed takes the message part as raw bytes, one byte per
+symbol, and returns the codeword's bytes. It builds the two forbidden runs
+once, weighs the message part once, and lays out each m-symbol parity draft
+with one format of its little-endian value, p_rhat and p_m shifted into
+place. Only the public functions check lengths and build a BitSeq, one per
+call; encode_message chains the front end's bytes functions into _embed and
+wraps once.
+
 One CodeParams type describes every code. Its unchecked constructor is the
 only place that derives m = r_hat + 3, n = m + k and the modulus a_(n+1),
 taken from the coefficient formula itself, so it also holds at the short
@@ -44,9 +52,9 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
-from .bitseq import _TO_ASCII, BitSeq, is_rll, le_encode
+from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_patterns, le_encode
 from .errors import DataError, InvariantError, ValidationError
-from .front import cached_front_params, front_encode
+from .front import _message, _nrzi_encode, _wi_encode, cached_front_params
 
 # The word length from which _sliced_sum, with the word's packing counted,
 # beats one compress pass over the coefficients. Measured with timeit on one
@@ -223,13 +231,26 @@ def _sigma(cp: CodeParams, y: BitSeq) -> int:
     return _weight(cp, bytes(cp.m) + y.tobytes())
 
 
-def _solve(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> BitSeq:
+def _residue(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> int:
+    """The value q of the solved parity positions, given the message-part weight sigma."""
     if p_rhat not in (0, 1) or p_m not in (0, 1):
         raise DataError("parity symbols must be 0 or 1")
-    r_hat, d = cp.r_hat, cp.d
-    a_m = coefficient_value(cp.m, r_hat, d)
-    residue = (cp.b - d * p_rhat - a_m * p_m - sigma) % cp.modulus
-    return le_encode(residue, r_hat + 1)
+    # a_m = 2^r_hat + 1, as m = r_hat + 3 lies in the affine part
+    return (cp.b - cp.d * p_rhat - ((1 << cp.r_hat) + 1) * p_m - sigma) % cp.modulus
+
+
+def _parity(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> bytes:
+    """The m parity symbols: q's low r_hat - 1 bits, p_rhat, q's top two bits, p_m."""
+    q = _residue(cp, p_rhat, p_m, sigma)
+    split = cp.r_hat - 1
+    # le_encode's range check; only an unchecked bundle's modulus exceeds 2^(r_hat + 1)
+    if q >> (split + 2):
+        raise DataError(f"value x={q} is outside [0, 2^{split + 2} - 1]")
+    # the parity's little-endian value, with a 1 above its m bits so that the
+    # binary text, reversed and less its last character, has exactly m symbols
+    value = q & ((1 << split) - 1) | p_rhat << split | q >> split << (split + 1)
+    value |= (p_m | 2) << (split + 3)
+    return format(value, "b")[:0:-1].encode().translate(_FROM_ASCII)
 
 
 def parity_solve(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
@@ -240,19 +261,31 @@ def parity_solve(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
     (2^0 .. 2^(r_hat-2), 2^(r_hat-1), 2^r_hat). Well defined because the
     modulus never exceeds 2^(r_hat+1).
     """
-    return _solve(cp, p_rhat, p_m, _sigma(cp, y))
-
-
-def _parity_word(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> BitSeq:
-    q = _solve(cp, p_rhat, p_m, sigma).tobytes()
-    # q fills positions 1 .. r_hat-1, r_hat+1 and r_hat+2, around p_rhat; p_m is last
-    split = cp.r_hat - 1
-    return BitSeq._wrap(q[:split] + bytes((p_rhat,)) + q[split:] + bytes((p_m,)))
+    return le_encode(_residue(cp, p_rhat, p_m, _sigma(cp, y)), cp.r_hat + 1)
 
 
 def parity_word(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
     """The assembled m-symbol parity part for the given separator/fallback symbols."""
-    return _parity_word(cp, p_rhat, p_m, _sigma(cp, y))
+    return BitSeq._wrap(_parity(cp, p_rhat, p_m, _sigma(cp, y)))
+
+
+def _embed(cp: CodeParams, y: bytes) -> bytes:
+    """embed_encode on raw bytes, after its length check: the codeword's symbols."""
+    r = cp.r
+    zeros, ones = _run_patterns(r)
+    if zeros in y or ones in y:
+        raise DataError(f"message part violates the run-length limit r={r}")
+    p_m = y[0] ^ 1
+    sigma = _weight(cp, bytes(cp.m) + y)
+    p = _parity(cp, 0, p_m, sigma)
+    if zeros in p or ones in p:
+        p = _parity(cp, 1, p_m, sigma)
+        if zeros in p or ones in p:
+            raise InvariantError(
+                f"fallback parity still violates the run-length limit at "
+                f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
+            )
+    return p + y
 
 
 def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:
@@ -266,27 +299,15 @@ def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:
     """
     if len(y) != cp.k:
         raise DataError(f"message-part length {len(y)} != k = {cp.k}")
-    r = cp.r
-    if not is_rll(y, r):
-        raise DataError(f"message part violates the run-length limit r={r}")
-    p_m = y[0] ^ 1
-    sigma = _sigma(cp, y)
-    p = _parity_word(cp, 0, p_m, sigma)
-    if not is_rll(p, r):
-        p = _parity_word(cp, 1, p_m, sigma)
-        if not is_rll(p, r):
-            raise InvariantError(
-                f"fallback parity still violates the run-length limit at "
-                f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
-            )
-    return p + y
+    return BitSeq._wrap(_embed(cp, y.tobytes()))
 
 
 def encode_message(u: BitSeq, k: int, r: int, d: int | None = None, b: int | None = None) -> BitSeq:
     """Full pipeline: message of length k-1 to codeword of length n = k + r_hat + 3."""
     cp = derive_params(k, r, d, b)
-    y = front_encode(u, cached_front_params(k, r))
-    return embed_encode(cp, y)
+    fp = cached_front_params(k, r)
+    # _wi_encode checks that its output, the message part, has length k
+    return BitSeq._wrap(_embed(cp, _nrzi_encode(_wi_encode(_message(u, fp), k, r))))
 
 
 def params_text(cp: CodeParams) -> str:

@@ -41,13 +41,17 @@ A correction costs one O(n) C-level pack of the word, O(log n) big-int ANDs,
 shifts and popcounts, and O(r_hat + log n) Python steps. The plain O(n) scan
 over every edit lives in tests/reference.py, which the tests compare against
 this search.
+
+Bytes inside: _correct takes and returns raw bytes, one byte per symbol;
+correct wraps its result in a BitSeq, and decode_message chains it with the
+front end's bytes functions and wraps once, at the end.
 """
 from __future__ import annotations
 
 from .bitseq import _TO_ASCII, BitSeq
-from .code import CodeParams, _coefficients, _weight, is_codeword
+from .code import CodeParams, _coefficients, _weight
 from .errors import DataError, InvariantError, UncorrectableError
-from .front import cached_front_params, front_decode
+from .front import _nrzi_decode, _wi_decode, cached_front_params
 
 
 def _count_before(packed: int, length: int, symbol: int, j: int) -> int:
@@ -120,13 +124,12 @@ def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
     return out
 
 
-def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
-    """Recover the transmitted codeword from a word one indel away (or intact)."""
-    length = len(received)
+def _correct(cp: CodeParams, data: bytes) -> bytes:
+    length = len(data)
     n = cp.n
     if length == n:
-        if is_codeword(cp, received):
-            return received
+        if _weight(cp, data) % cp.modulus == cp.b:
+            return data
         raise UncorrectableError(
             "received word has full length but is not a codeword"
         )
@@ -134,7 +137,7 @@ def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
         raise DataError(
             f"received length {length} is not within one symbol of n = {n}"
         )
-    found = candidates(cp, received.tobytes())
+    found = candidates(cp, data)
     if not found:
         raise UncorrectableError("no candidate codeword explains the received word")
     if len(found) > 1:
@@ -142,10 +145,17 @@ def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
             f"{len(found)} distinct candidate codewords survive; the "
             f"coefficient sequence cannot be strictly increasing"
         )
-    return BitSeq._wrap(found.pop())
+    return found.pop()
+
+
+def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
+    """Recover the transmitted codeword from a word one indel away (or intact)."""
+    return BitSeq._wrap(_correct(cp, received.tobytes()))
 
 
 def decode_message(cp: CodeParams, received: BitSeq) -> BitSeq:
     """Correct the received word, strip the parity part, invert the front-end."""
-    z = correct(cp, received)
-    return front_decode(z[cp.m :], cached_front_params(cp.k, cp.r))
+    z = _correct(cp, received.tobytes())
+    fp = cached_front_params(cp.k, cp.r)
+    # z has length n, so the message part has length k
+    return BitSeq._wrap(_wi_decode(_nrzi_decode(z[cp.m :]), fp.k, fp.r))

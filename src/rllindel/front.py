@@ -54,6 +54,13 @@ parse fails: it reads the replacement count from the right, greedily stripping
 (1^(r-1) 0) blocks and then zeros, and strips a spurious block for some
 messages. No collision and no parse failure has been seen at an accepted
 length; k <= 2^r + r - 7 round-trips exhaustively for every tested r.
+
+Bytes inside: the private functions (_wi_encode, _wi_decode, _nrzi_encode,
+_nrzi_decode, _omega) take and return raw bytes, one byte per symbol. Only
+the public functions check lengths and build a BitSeq, one per call, so
+code.encode_message and decoder.decode_message chain the private functions
+and wrap their result once. _wi_decode returns at once when the count parse
+gives no replacements, as for about 63% of uniform words at k = 60 and 250.
 """
 from __future__ import annotations
 
@@ -118,8 +125,12 @@ def omega(s: int, t: int) -> BitSeq:
         raise ValidationError(f"tail parameter must be at least 2 (got t={t})")
     if s < 0:
         raise ValidationError(f"replacement count must be non-negative (got s={s})")
+    return BitSeq._wrap(_omega(s, t))
+
+
+def _omega(s: int, t: int) -> bytes:
     v, rem = divmod(s, t + 1)
-    return BitSeq._wrap(b"\x00" * rem + (b"\x01" * t + b"\x00") * v)
+    return b"\x00" * rem + (b"\x01" * t + b"\x00") * v
 
 
 @lru_cache(maxsize=4096)
@@ -183,7 +194,7 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
             head += rest[pos:end]
             c = 0
             pos = end
-        out = b"".join((head, bytes(c), rest[pos:], _FORBIDDEN_ONE, omega(s, r - 1).tobytes()))
+        out = b"".join((head, bytes(c), rest[pos:], _FORBIDDEN_ONE, _omega(s, r - 1)))
     if len(out) != k:
         raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
     return out
@@ -205,6 +216,8 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
     if i == 0:
         raise DataError("no sentinel symbol found while parsing the replacement count")
     s = a + r * nblocks
+    if s == 0:
+        return data[: i - 1]
     v = bytearray(data[: i - 1])
     pattern = b"\x00" * r + _FORBIDDEN_ONE
     marker = b"\x01" + b"\x00" * (r - 2)
@@ -226,11 +239,38 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
     return bytes(v)
 
 
-def wi_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
-    """Encode a message of length k-1 into a zero-run-constrained word of length k."""
+def _message(u: BitSeq, fp: FrontParams) -> bytes:
+    """The symbols of a message, which must have length k - 1."""
     if len(u) != fp.k - 1:
         raise DataError(f"message length {len(u)} != k - 1 = {fp.k - 1}")
-    return BitSeq._wrap(_wi_encode(u.tobytes(), fp.k, fp.r))
+    return u.tobytes()
+
+
+def _word(x: BitSeq, fp: FrontParams) -> bytes:
+    """The symbols of a front-end word, which must have length k."""
+    if len(x) != fp.k:
+        raise DataError(f"word length {len(x)} != k = {fp.k}")
+    return x.tobytes()
+
+
+def _nrzi_encode(data: bytes) -> bytes:
+    size = len(data)
+    v = int.from_bytes(data, "big")
+    shift = 8
+    while shift < 8 * size:
+        v ^= v >> shift
+        shift <<= 1
+    return v.to_bytes(size, "big")
+
+
+def _nrzi_decode(data: bytes) -> bytes:
+    v = int.from_bytes(data, "big")
+    return (v ^ (v >> 8)).to_bytes(len(data), "big")
+
+
+def wi_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
+    """Encode a message of length k-1 into a zero-run-constrained word of length k."""
+    return BitSeq._wrap(_wi_encode(_message(u, fp), fp.k, fp.r))
 
 
 def wi_decode(x: BitSeq, fp: FrontParams) -> BitSeq:
@@ -243,9 +283,7 @@ def wi_decode(x: BitSeq, fp: FrontParams) -> BitSeq:
     (k, r) = (10, 4), 1010101000 decodes to 000010000, which encodes to
     1000101000. Re-encoding the result is the only membership test.
     """
-    if len(x) != fp.k:
-        raise DataError(f"word length {len(x)} != k = {fp.k}")
-    return BitSeq._wrap(_wi_decode(x.tobytes(), fp.k, fp.r))
+    return BitSeq._wrap(_wi_decode(_word(x, fp), fp.k, fp.r))
 
 
 def nrzi_encode(x: BitSeq) -> BitSeq:
@@ -255,26 +293,19 @@ def nrzi_encode(x: BitSeq) -> BitSeq:
     top byte: after the right shifts by 1, 2, 4, ... bytes, byte i holds the
     XOR of bytes 0..i, and the int never grows past the word's 8n bits.
     """
-    size = len(x)
-    v = int.from_bytes(x.tobytes(), "big")
-    shift = 8
-    while shift < 8 * size:
-        v ^= v >> shift
-        shift <<= 1
-    return BitSeq._wrap(v.to_bytes(size, "big"))
+    return BitSeq._wrap(_nrzi_encode(x.tobytes()))
 
 
 def nrzi_decode(y: BitSeq) -> BitSeq:
     """Inverse transition coding: x_1 = y_1, x_i = y_(i-1) xor y_i."""
-    v = int.from_bytes(y.tobytes(), "big")
-    return BitSeq._wrap((v ^ (v >> 8)).to_bytes(len(y), "big"))
+    return BitSeq._wrap(_nrzi_decode(y.tobytes()))
 
 
 def front_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
     """Message to run-length-limited word: sequence replacement, then NRZI."""
-    return nrzi_encode(wi_encode(u, fp))
+    return BitSeq._wrap(_nrzi_encode(_wi_encode(_message(u, fp), fp.k, fp.r)))
 
 
 def front_decode(y: BitSeq, fp: FrontParams) -> BitSeq:
     """Inverse of front_encode."""
-    return wi_decode(nrzi_decode(y), fp)
+    return BitSeq._wrap(_wi_decode(_nrzi_decode(_word(y, fp)), fp.k, fp.r))

@@ -2,9 +2,10 @@
 
 Each function here is the plain, slow form of something the package does
 faster: the O(n) scan over every edit that decoder.candidates replaces, the
-restart-from-symbol-0 replacement loop that front._wi_encode replaces, and
-the run statistics the run-limit predicates are checked against. The package
-never imports this module.
+restart-from-symbol-0 replacement loop that front._wi_encode replaces, the
+solve-then-splice parity that code._parity replaces, and the run statistics
+the run-limit predicates are checked against. The package never imports this
+module.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from itertools import accumulate
 from operator import add, mul
 
 from rllindel.bitseq import BitSeq, le_encode
-from rllindel.code import _coefficients
+from rllindel.code import _coefficients, coefficient_value
 from rllindel.errors import InvariantError
 from rllindel.front import _FORBIDDEN_ONE, omega
 
@@ -81,6 +82,21 @@ def reference_wi_encode(data: bytes, k: int, r: int) -> bytes:
         raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
     return out
 
+
+def reference_parity_word(cp, p_rhat: int, p_m: int, sigma: int) -> bytes:
+    """The m parity symbols for message-part weight sigma, spliced around a solved word.
+
+    The solve gives q = le_encode(residue, r_hat + 1) for the weights
+    (2^0 .. 2^(r_hat-2), 2^(r_hat-1), 2^r_hat); q is then split after its
+    r_hat - 1 low symbols to take p_rhat, and p_m is appended. This is the
+    reference that code._parity, one format of the parity's value, is
+    tested against.
+    """
+    a_m = coefficient_value(cp.m, cp.r_hat, cp.d)
+    residue = (cp.b - cp.d * p_rhat - a_m * p_m - sigma) % cp.modulus
+    q = le_encode(residue, cp.r_hat + 1).tobytes()
+    split = cp.r_hat - 1
+    return q[:split] + bytes((p_rhat,)) + q[split:] + bytes((p_m,))
 
 
 def max_run_length(s: BitSeq) -> int:

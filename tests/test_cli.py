@@ -266,6 +266,54 @@ class TestOutputStreams:
         assert merged.stdout.splitlines() == [words[0], logs[0], logs[1], words[1], logs[2]]
 
 
+class TestStreamFailures:
+    """A closed standard stream or a reader that leaves early stops the run with exit 1, no traceback."""
+
+    def test_reader_leaving_early_stops_quietly(self, tmp_path):
+        # 20000 codewords are far more than a pipe holds, so the run is still
+        # writing when the reader closes its end
+        source = tmp_path / "messages.txt"
+        source.write_text("010011000101\n" * 20000)
+        with open(source) as stdin, open(tmp_path / "stderr.txt", "w+") as stderr:
+            proc = subprocess.Popen(
+                CMD + ["encode", "--k", "13", "--r", "4"],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=stderr,
+            )
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            status = proc.wait(timeout=300)
+            stderr.seek(0)
+            err = stderr.read()
+        assert first == b"10101010111011110010\n"
+        assert status == 1
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "args, closed, stdin, message",
+        [
+            (("encode", "--k", "13", "--r", "4"), (0,), None, "standard input is closed"),
+            (("corrupt", "--seed", "1"), (1,), "0101\n", "standard output is closed"),
+            (("decode", "--k", "13", "--r", "4"), (1, 2), "0101\n", None),
+        ],
+        ids=["stdin", "stdout", "stdout-and-stderr"],
+    )
+    def test_closed_stream(self, args, closed, stdin, message):
+        def close():
+            for fd in closed:
+                os.close(fd)
+
+        result = subprocess.run(
+            CMD + list(args),
+            input=stdin,
+            stdout=None if 1 in closed else subprocess.PIPE,
+            stderr=None if 2 in closed else subprocess.PIPE,
+            preexec_fn=close, text=True, timeout=300,
+        )
+        assert result.returncode == 1
+        if message is not None:
+            assert result.stderr == f"rllindel: error: {message}\n"
+
+
 class TestAnalyze:
     def test_redundancy_table(self):
         result = run("analyze", "redundancy", "--n-min", "14", "--n-max", "100")

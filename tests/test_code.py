@@ -14,6 +14,7 @@ from rllindel.code import (
     CodeParams,
     _coefficients,
     _index_masks,
+    _parity,
     _sliced_sum,
     coefficient_value,
     d_range,
@@ -29,6 +30,8 @@ from rllindel.code import (
 )
 from rllindel.decoder import decode_message
 from rllindel.errors import DataError, InvariantError, ValidationError
+
+from reference import reference_parity_word
 
 EXAMPLE_CP = dict(k=14, r=4, d=6, b=31)
 EXAMPLE_Y = BitSeq("10100001000010")
@@ -255,6 +258,34 @@ class TestParity:
 
         assert le_decode(parity_solve(cp, 0, 0, EXAMPLE_Y)) == 2
         assert le_decode(parity_solve(cp, 1, 0, EXAMPLE_Y)) == 28
+
+    @pytest.mark.parametrize("r_hat", range(4, 13))
+    def test_one_format_matches_the_splice(self, r_hat):
+        # the shortest and longest k of the band; at the longest the modulus
+        # is 2^(r_hat + 1), so q uses all r_hat + 1 of its symbols
+        for k in ((1 << (r_hat - 1)) - 1, (1 << r_hat) - 2):
+            cp = derive_params(k, r_hat)
+            for sigma in range(cp.modulus):
+                for p_rhat in (0, 1):
+                    for p_m in (0, 1):
+                        assert _parity(cp, p_rhat, p_m, sigma) == reference_parity_word(
+                            cp, p_rhat, p_m, sigma
+                        )
+
+    def test_overwide_residue_is_rejected_as_before(self):
+        # an unchecked bundle whose modulus 58 exceeds 2^(r_hat + 1) = 32
+        cp = CodeParams.unchecked(40, 4, 4, 6, 57)
+        y = BitSeq(b"\x00" * 40)
+        message = "value x=57 is outside \\[0, 2\\^5 - 1\\]"
+        for call in (parity_solve, parity_word):
+            with pytest.raises(DataError, match=message):
+                call(cp, 0, 0, y)
+
+    def test_parity_symbols_must_be_bits(self):
+        cp = derive_params(**EXAMPLE_CP)
+        for call in (parity_solve, parity_word):
+            with pytest.raises(DataError, match="parity symbols must be 0 or 1"):
+                call(cp, 2, 0, EXAMPLE_Y)
 
     @settings(max_examples=100)
     @given(st.integers(min_value=0, max_value=(1 << 14) - 1), st.integers(min_value=0, max_value=31))
