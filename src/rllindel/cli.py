@@ -10,11 +10,12 @@ Exit codes are part of the contract: 0 success, 1 usage, 2 parameter
 validation, 3 data error on at least one input line, 4 verification failure.
 The library rejects input only with CodecError subclasses; main maps a
 ValidationError to 2 and a DataError to 3, and the per-line commands report
-a DataError for its line and carry on with the next. A per-line command
-also exits 1, without a traceback, when its standard input or output is
-closed (with one `rllindel: error: standard input is closed` or `output`
-line on stderr, if stderr is open) or when the reader of its output leaves
-early (a broken pipe, silently).
+a DataError for its line and carry on with the next. Every command exits 1,
+without a traceback, when its standard output is closed, and a per-line
+command also when its standard input is closed (with one
+`rllindel: error: standard output is closed` or `input` line on stderr, if
+stderr is open) or when the reader of its output leaves early (a broken
+pipe, silently).
 
 Start-up is part of every command's cost, so this module loads only the
 codec: the channel, the oracles and the analysis are imported by the
@@ -56,6 +57,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _closed(stream, name: str) -> bool:
+    """Whether a standard stream is closed; if so, say which on stderr, if that is open."""
+    if stream is not None:
+        return False
+    if sys.stderr is not None:
+        sys.stderr.write(f"rllindel: error: standard {name} is closed\n")
+    return True
+
+
 def _for_each_line(transform: Callable[[int, str], object], logged: bool = False) -> int:
     """Write transform(number, line) for each stdin line as one stdout line.
 
@@ -65,14 +75,12 @@ def _for_each_line(transform: Callable[[int, str], object], logged: bool = False
     `ERROR number reason` on stderr and the next line goes on. A byte stdin's
     encoding cannot decode becomes a lone surrogate, which fails its line as
     an invalid character, whatever error handler stdin was opened with. A
-    closed stdin or stdout, or a broken pipe, ends the run with EXIT_STREAM.
+    closed stdin, or a broken pipe, ends the run with EXIT_STREAM; main has
+    already checked stdout.
     """
+    if _closed(sys.stdin, "input"):
+        return EXIT_STREAM
     out, err = sys.stdout, sys.stderr
-    for stream, name in ((sys.stdin, "input"), (out, "output")):
-        if stream is None:
-            if err is not None:
-                err.write(f"rllindel: error: standard {name} is closed\n")
-            return EXIT_STREAM
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="surrogateescape")
     failed = False
@@ -329,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every command writes its results to stdout
+    if _closed(sys.stdout, "output"):
+        return EXIT_STREAM
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -41,6 +41,28 @@ sentinel appended.
 tests/reference.py keeps the restart-from-symbol-0 loop as the reference
 the tests compare this encoder against.
 
+Decoding cost: the undo runs the replacements backwards, each reading the
+pointer (or marker) off the word's end and putting 0^r 1 back where it
+names. The working word is kept as three parts: left, a bytearray that
+takes the insertions; right, a bytearray holding the symbols between left
+and the tail in reverse order; and the tail, an unread stretch of an
+immutable bytes, at first the received word. Each pointer is one slice off
+the tail's end, and its insertion index comes from a bounded memo, so an
+undo does no reversal, translate or int() once the memo is warm. An
+insertion point at most _NEAR symbols before left's end is filled in
+place; one further left moves the gap there, left's surplus going to
+right, and one right of left takes the symbols before it from right, then
+from the tail. When the tail runs out, the rest of the word (right and the
+tail, and a few symbols of left if they hold fewer than r) becomes the new
+tail, and an end marker does the same with r zeros in its place. The
+encoder always replaces the first forbidden word, so in undo order an
+insertion point lies at most r above the one before it: every symbol
+reaches right about once, each rebuilt tail is paid for by the symbols
+right gave it, and s undos of an emitted word move O(k + s*_NEAR) symbols
+in O(s) Python steps. tests/reference.py keeps the one-bytearray undo, which
+moves every symbol behind each insertion point, as the reference the tests
+compare this decoder against, bytes and error texts alike.
+
 Decodability bound: FrontParams rejects k > 2^r + r - 7 with one check, which
 leaves out the two lengths 2^r + r - 6 and 2^r + r - 5 below the feasibility
 bound; its text gives the reason for the given r. What fails there depends on
@@ -145,6 +167,32 @@ def _pointer(v: int, r: int) -> bytes:
     return format(v, f"0{r}b")[::-1].encode().translate(_FROM_ASCII)
 
 
+# Most symbols an undo moves inside left; an insertion point further left
+# moves the gap there instead.
+_NEAR = 256
+_INDEX_SIZE = 4096
+
+
+class _PointerIndex(dict):
+    """Pointer symbols, as received, to the insertion index le_decode - 4 they name.
+
+    A miss decodes the pointer and keeps it. The dict is emptied when it holds
+    _INDEX_SIZE entries, as many as _pointer keeps, so it stays small at any
+    r, where 2^r pointers exist.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, ptr: bytes) -> int:
+        if len(self) >= _INDEX_SIZE:
+            self.clear()
+        q = self[ptr] = int(ptr[::-1].translate(_TO_ASCII), 2) - 4
+        return q
+
+
+_POINTER_INDEX = _PointerIndex()
+
+
 def _wi_encode(data: bytes, k: int, r: int) -> bytes:
     zeros = b"\x00" * r
     pattern = zeros + _FORBIDDEN_ONE
@@ -218,25 +266,62 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
     s = a + r * nblocks
     if s == 0:
         return data[: i - 1]
-    v = bytearray(data[: i - 1])
-    pattern = b"\x00" * r + _FORBIDDEN_ONE
-    marker = b"\x01" + b"\x00" * (r - 2)
+    # a bytearray, as slice assignment copies any other buffer first
+    pattern = bytearray(r) + _FORBIDDEN_ONE
+    index = _POINTER_INDEX
+    # the working word is left + right[::-1] + data[t0:e]: insertions go into
+    # left, right holds the symbols between the gap and the tail reversed, and
+    # the tail is immutable, so each pointer is one slice off its end
+    left = bytearray()
+    right = bytearray()
+    t0, e = 0, i - 1
     for step in range(s, 0, -1):
-        if len(v) >= r:
-            # the pointer is le_encode(p + 3, r): its text read backwards is binary
-            p = int(v[-r:][::-1].translate(_TO_ASCII), 2) - 3
-            if 1 <= p <= len(v) - r + 1:
-                del v[-r:]
-                v[p - 1 : p - 1] = pattern
+        if e - t0 < r:
+            # the tail ran out: the rest of the word, r symbols or more where
+            # it has them, becomes the tail
+            cut = max(0, len(left) + len(right) + e - t0 - r)
+            data = b"".join((left[cut:], right[::-1], data[t0:e]))
+            del left[cut:]
+            right.clear()
+            t0, e = 0, len(data)
+        f = e - r
+        if f >= t0:
+            q = index[data[f:e]]
+            size = len(left)
+            if 0 <= q <= size:
+                if size - q <= _NEAR:
+                    left[q:q] = pattern
+                else:
+                    # move the gap to q
+                    right += left[q:][::-1]
+                    del left[q:]
+                    left += pattern
+                e = f
                 continue
-        if v.endswith(marker):
-            del v[1 - r :]
-            v.extend(b"\x00" * r)
+            need = q - size
+            have = len(right)
+            if 0 < need <= have + f - t0:
+                # the insertion point lies right of the gap: the symbols
+                # before it come from right, then from the tail
+                if have:
+                    cut = have - min(need, have)
+                    left += right[cut:][::-1]
+                    del right[cut:]
+                    need -= have - cut
+                left += data[t0 : t0 + need]
+                t0 += need
+                left += pattern
+                e = f
+                continue
+        if e - t0 >= r - 1 and data.startswith(_FORBIDDEN_ONE + bytes(r - 2), e - r + 1, e):
+            # the end marker 1 0^(r-2) becomes r zeros
+            data = data[t0 : e - r + 1] + bytes(r)
+            t0, e = 0, len(data)
             continue
         raise DataError(
             f"undo step {step}: trailing symbols match neither a valid pointer nor the end marker"
         )
-    return bytes(v)
+    return b"".join((left, right[::-1], data[t0:e]))
 
 
 def _message(u: BitSeq, fp: FrontParams) -> bytes:

@@ -3,6 +3,7 @@
 Each function here is the plain, slow form of something the package does
 faster: the O(n) scan over every edit that decoder.candidates replaces, the
 restart-from-symbol-0 replacement loop that front._wi_encode replaces, the
+one-bytearray undo loop that front._wi_decode replaces, the
 solve-then-splice parity that code._parity replaces, and the run statistics
 the run-limit predicates are checked against. The package never imports this
 module.
@@ -12,9 +13,9 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import add, mul
 
-from rllindel.bitseq import BitSeq, le_encode
+from rllindel.bitseq import _TO_ASCII, BitSeq, le_encode
 from rllindel.code import _coefficients, coefficient_value
-from rllindel.errors import InvariantError
+from rllindel.errors import DataError, InvariantError
 from rllindel.front import _FORBIDDEN_ONE, omega
 
 
@@ -81,6 +82,53 @@ def reference_wi_encode(data: bytes, k: int, r: int) -> bytes:
     if len(out) != k:
         raise InvariantError(f"encoded length {len(out)} != k={k} at (k={k}, r={r})")
     return out
+
+
+def reference_wi_decode(data: bytes, k: int, r: int) -> bytes:
+    """The replacement undo on one bytearray, one replacement at a time.
+
+    Each undo reads the pointer off the end of the working word, deletes it
+    and inserts 0^r 1 in the middle, moving every symbol behind the
+    insertion point, so s undos cost O(s k). This is the reference that
+    front._wi_decode, a gap buffer over the received word, is tested
+    against, bytes and DataError texts alike.
+    """
+    if b"\x00" * r in data:
+        raise DataError(f"word violates the zero-run constraint for r={r}")
+    block = b"\x01" * (r - 1) + b"\x00"
+    i = len(data)
+    nblocks = 0
+    while i >= r and data[i - r : i] == block:
+        i -= r
+        nblocks += 1
+    a = 0
+    while i >= 1 and data[i - 1] == 0:
+        i -= 1
+        a += 1
+    if i == 0:
+        raise DataError("no sentinel symbol found while parsing the replacement count")
+    s = a + r * nblocks
+    if s == 0:
+        return data[: i - 1]
+    v = bytearray(data[: i - 1])
+    pattern = b"\x00" * r + _FORBIDDEN_ONE
+    marker = b"\x01" + b"\x00" * (r - 2)
+    for step in range(s, 0, -1):
+        if len(v) >= r:
+            # the pointer is le_encode(p + 3, r): its text read backwards is binary
+            p = int(v[-r:][::-1].translate(_TO_ASCII), 2) - 3
+            if 1 <= p <= len(v) - r + 1:
+                del v[-r:]
+                v[p - 1 : p - 1] = pattern
+                continue
+        if v.endswith(marker):
+            del v[1 - r :]
+            v.extend(b"\x00" * r)
+            continue
+        raise DataError(
+            f"undo step {step}: trailing symbols match neither a valid pointer nor the end marker"
+        )
+    return bytes(v)
 
 
 def reference_parity_word(cp, p_rhat: int, p_m: int, sigma: int) -> bytes:

@@ -294,8 +294,15 @@ class TestStreamFailures:
             (("encode", "--k", "13", "--r", "4"), (0,), None, "standard input is closed"),
             (("corrupt", "--seed", "1"), (1,), "0101\n", "standard output is closed"),
             (("decode", "--k", "13", "--r", "4"), (1, 2), "0101\n", None),
+            (("params", "--k", "13", "--r", "4"), (1,), None, "standard output is closed"),
+            (("verify", "front-roundtrip", "--k", "10", "--r", "4"), (1,), None,
+             "standard output is closed"),
+            (("verify", "campaign", "--k", "60", "--r", "6", "--seed", "1"), (1, 2), None, None),
+            (("analyze", "redundancy", "--n-min", "14", "--n-max", "15"), (1,), None,
+             "standard output is closed"),
         ],
-        ids=["stdin", "stdout", "stdout-and-stderr"],
+        ids=["stdin", "stdout", "stdout-and-stderr", "params-stdout", "verify-stdout",
+             "campaign-stdout-and-stderr", "analyze-stdout"],
     )
     def test_closed_stream(self, args, closed, stdin, message):
         def close():

@@ -1,16 +1,20 @@
 """Replacement front-end, its padding word, and the NRZI transform."""
 import random
+import time
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rllindel import front
 from rllindel.bitseq import BitSeq, is_rll, is_zero_constrained
 from rllindel.errors import DataError, ValidationError
 from rllindel.front import (
+    _INDEX_SIZE,
+    _POINTER_INDEX,
     FrontParams,
     _wi_decode,
     _wi_encode,
@@ -24,7 +28,7 @@ from rllindel.front import (
     wi_encode,
 )
 
-from reference import max_run_length, reference_wi_encode
+from reference import max_run_length, reference_wi_decode, reference_wi_encode
 
 
 class TestOmega:
@@ -218,6 +222,110 @@ class TestResumedSearchMatchesReference:
         data = BitSeq(message).tobytes()
         assert BitSeq(word).tobytes() == reference_wi_encode(data, 13, 4)
         assert str(wi_encode(BitSeq(message), FrontParams(13, 4))) == word
+
+
+def _undo(decode, word: bytes, k: int, r: int):
+    """The decoded bytes, or the text of the DataError the word raises."""
+    try:
+        return decode(word, k, r)
+    except DataError as exc:
+        return str(exc)
+
+
+def _sparse_message(rng: random.Random, length: int, p_one: float) -> bytes:
+    return bytes(rng.random() < p_one for _ in range(length))
+
+
+@pytest.fixture(params=[None, 0], ids=["near-default", "near0"])
+def near(request, monkeypatch):
+    """Run at the default _NEAR, then at _NEAR = 0.
+
+    At 0 every insertion point left of left's end moves the gap, so short
+    words reach right and its reversal too.
+    """
+    if request.param is not None:
+        monkeypatch.setattr(front, "_NEAR", request.param)
+
+
+@pytest.mark.usefixtures("near")
+class TestUndoMatchesReference:
+    """The gap-buffer undo against reference.reference_wi_decode, bytes and DataError texts alike.
+
+    The undo keeps the word as left, a reversed right and an immutable tail,
+    so the cases that matter are pointers and end markers that straddle two
+    of the parts, and a tail that runs out, at e == 0 among others.
+    """
+
+    @pytest.mark.parametrize("k, r", [(4, 3), (9, 3), (10, 4), (13, 4), (12, 5), (16, 6), (18, 5)])
+    def test_every_word(self, k, r):
+        # (9, 3) lies past the accepted lengths; the undo must still agree
+        for word in map(bytes, product(b"\x00\x01", repeat=k)):
+            assert _undo(_wi_decode, word, k, r) == _undo(reference_wi_decode, word, k, r), word
+
+    @pytest.mark.parametrize("p_one", [0, 1, 1 / 16, 1 / 4, 1 / 2])
+    @pytest.mark.parametrize("k, r", [(13, 4), (60, 6), (250, 8), (4000, 12)])
+    def test_encoder_outputs_and_their_flips(self, k, r, p_one):
+        # every one-symbol flip up to k = 250, every 37th at k = 4000
+        message = _sparse_message(random.Random(f"{k} {r} {p_one}"), k - 1, p_one)
+        word = _wi_encode(message, k, r)
+        assert _wi_decode(word, k, r) == message
+        for j in range(0, k, 37 if k > 250 else 1):
+            flipped = bytearray(word)
+            flipped[j] ^= 1
+            flipped = bytes(flipped)
+            assert _undo(_wi_decode, flipped, k, r) == _undo(reference_wi_decode, flipped, k, r), j
+
+    @pytest.mark.parametrize(
+        "k, r, message, word",
+        [
+            # the tail runs out twice at e == 0, the first time with a pointer
+            # left that straddles left and the tail; the end marker comes last
+            (13, 4, "000000000000", "0001101011110"),
+            # at _NEAR = 0 a pointer straddles right and the last tail symbol
+            (13, 4, "000000100000", "0010001011110"),
+            # the end marker straddles left and the tail
+            (12, 5, "00000000000", "000010100100"),
+            (18, 5, "00001010000000000", "000010100011010100"),
+            # the tail runs out at e == 0 with no marker to follow
+            (12, 5, "00000100000", "100001001000"),
+        ],
+    )
+    def test_named_words(self, k, r, message, word):
+        data, u = BitSeq(word).tobytes(), BitSeq(message).tobytes()
+        assert _wi_encode(u, k, r) == data
+        assert _wi_decode(data, k, r) == reference_wi_decode(data, k, r) == u
+
+
+class TestUndoScaling:
+    def test_long_sparse_decode_within_3x_its_encode(self):
+        # k = 10^6 at r = 20 (accepted) with P(1) = 1/16: about 35000
+        # replacements. An undo that moves every symbol behind each insertion
+        # point takes about 9x the encode here; best of three each.
+        k, r = 10**6, 20
+        message = _sparse_message(random.Random(1), k - 1, 1 / 16)
+
+        def best(call):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                out = call()
+                times.append(time.perf_counter() - start)
+            return out, min(times)
+
+        word, encode_s = best(lambda: _wi_encode(message, k, r))
+        decoded, decode_s = best(lambda: _wi_decode(word, k, r))
+        assert decoded == message
+        assert decode_s < 3 * encode_s, (decode_s, encode_s)
+
+    def test_pointer_index_stays_bounded(self):
+        # at r = 20 there are 2^20 pointers; these words name over 10^4
+        # distinct ones between them
+        k, r = 10**5, 20
+        rng = random.Random(2)
+        messages = [bytes(k - 1)] + [_sparse_message(rng, k - 1, 1 / 16) for _ in range(3)]
+        for message in messages:
+            assert _wi_decode(_wi_encode(message, k, r), k, r) == message
+            assert 0 < len(_POINTER_INDEX) <= _INDEX_SIZE
 
 
 class TestNrzi:
