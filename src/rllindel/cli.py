@@ -13,9 +13,12 @@ ValidationError to 2 and a DataError to 3, and the per-line commands report
 a DataError for its line and carry on with the next. Every command exits 1,
 without a traceback, when its standard output is closed, and a per-line
 command also when its standard input is closed (with one
-`rllindel: error: standard output is closed` or `input` line on stderr, if
-stderr is open) or when the reader of its output leaves early (a broken
-pipe, silently).
+`rllindel: error: standard output is closed` or `input` line on stderr).
+Every command also exits 1, silently, when the reader of its output leaves
+early (a broken pipe); main alone catches it. Every stderr line goes through
+_to_stderr, which swaps a closed or unwritable stderr for the null device,
+so the run and its exit code go on and nothing meant for stderr reaches
+stdout.
 
 Start-up is part of every command's cost, so this module loads only the
 codec: the channel, the oracles and the analysis are imported by the
@@ -29,10 +32,10 @@ import sys
 from collections.abc import Callable
 
 from .bitseq import BitSeq
-from .code import derive_params, embed_encode, params_text
+from .code import derive_params, embed_encode, encode_message, params_text
 from .decoder import correct, decode_message
 from .errors import DataError, ValidationError
-from .front import cached_front_params, front_encode
+from .front import cached_front_params
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,17 +56,16 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems with exit code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise SystemExit(EXIT_USAGE)
 
 
-def _closed(stream, name: str) -> bool:
-    """Whether a standard stream is closed; if so, say which on stderr, if that is open."""
-    if stream is not None:
-        return False
-    if sys.stderr is not None:
-        sys.stderr.write(f"rllindel: error: standard {name} is closed\n")
-    return True
+def _to_stderr(line: str) -> None:
+    """Write one line to stderr; a closed (None) or unwritable stderr becomes the null device."""
+    try:
+        sys.stderr.write(f"{line}\n")
+    except (AttributeError, OSError):
+        sys.stderr = open(os.devnull, "w")
 
 
 def _for_each_line(transform: Callable[[int, str], object], logged: bool = False) -> int:
@@ -75,34 +77,29 @@ def _for_each_line(transform: Callable[[int, str], object], logged: bool = False
     `ERROR number reason` on stderr and the next line goes on. A byte stdin's
     encoding cannot decode becomes a lone surrogate, which fails its line as
     an invalid character, whatever error handler stdin was opened with. A
-    closed stdin, or a broken pipe, ends the run with EXIT_STREAM; main has
-    already checked stdout.
+    closed stdin ends the run with EXIT_STREAM; main has already checked
+    stdout, and it handles a broken pipe.
     """
-    if _closed(sys.stdin, "input"):
+    if sys.stdin is None:
+        _to_stderr("rllindel: error: standard input is closed")
         return EXIT_STREAM
-    out, err = sys.stdout, sys.stderr
+    out = sys.stdout
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="surrogateescape")
     failed = False
-    try:
-        for number, raw in enumerate(sys.stdin, start=1):
-            try:
-                result = transform(number, raw.strip())
-            except DataError as exc:
-                failed = True
-                err.write(f"ERROR {number} {exc}\n")
-                continue
-            if logged:
-                result, log = result
-                out.write(f"{result}\n")
-                err.write(f"{log}\n")
-            else:
-                out.write(f"{result}\n")
-    except BrokenPipeError:
-        # the reader left; the output still buffered goes to the null device
-        # at exit, so its flush cannot fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-        return EXIT_STREAM
+    for number, raw in enumerate(sys.stdin, start=1):
+        try:
+            result = transform(number, raw.strip())
+        except DataError as exc:
+            failed = True
+            _to_stderr(f"ERROR {number} {exc}")
+            continue
+        if logged:
+            result, log = result
+            out.write(f"{result}\n")
+            _to_stderr(log)
+        else:
+            out.write(f"{result}\n")
     return EXIT_DATA if failed else EXIT_OK
 
 
@@ -118,10 +115,11 @@ def _cmd_encode(args) -> int:
         def transform(number: int, text: str) -> BitSeq:
             return embed_encode(cp, BitSeq.parse(text))
     else:
-        fp = cached_front_params(args.k, args.r)
+        # constructed eagerly so infeasible (k, r) fail before any input is read
+        cached_front_params(args.k, args.r)
 
         def transform(number: int, text: str) -> BitSeq:
-            return embed_encode(cp, front_encode(BitSeq.parse(text), fp))
+            return encode_message(BitSeq.parse(text), args.k, args.r, args.d, args.b)
     return _for_each_line(transform)
 
 
@@ -246,15 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_flags(p)
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser(
-        "encode", help="encode stdin lines into codewords"
-    )
+    p = sub.add_parser("encode", help="encode stdin lines into codewords")
     _add_code_flags(p, with_raw=True)
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser(
-        "decode", help="decode stdin lines, fixing one indel"
-    )
+    p = sub.add_parser("decode", help="decode stdin lines, fixing one indel")
     _add_code_flags(p, with_raw=True)
     p.set_defaults(func=_cmd_decode)
 
@@ -314,10 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help=f"{_CAMPAIGN_TRIALS} seeded encode-corrupt-decode trials",
     )
-    s.add_argument("--k", type=int, required=True)
-    s.add_argument("--r", type=int, required=True)
-    s.add_argument("--d", type=int)
-    s.add_argument("--b", type=int)
+    _add_code_flags(s)
     s.add_argument("--seed", type=int, required=True)
     s.set_defaults(func=_verify_campaign)
 
@@ -338,15 +329,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # every command writes its results to stdout
-    if _closed(sys.stdout, "output"):
+    if sys.stdout is None:
+        _to_stderr("rllindel: error: standard output is closed")
         return EXIT_STREAM
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a reader that left must fail this flush, not the one at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left; the output still buffered goes to the null device
+        # at exit, so its flush cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STREAM
     except ValidationError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
+        _to_stderr(f"parameter error: {exc}")
         return EXIT_VALIDATION
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _to_stderr(f"data error: {exc}")
         return EXIT_DATA
 
 

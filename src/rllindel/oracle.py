@@ -32,12 +32,13 @@ from .code import (
     _coefficients,
     derive_params,
     embed_encode,
+    encode_message,
     is_codeword,
     raw_params,
 )
 from .decoder import decode_message
 from .errors import CodecError, InvariantError, ValidationError
-from .front import FrontParams, cached_front_params, front_encode, wi_decode, wi_encode
+from .front import cached_front_params, wi_decode, wi_encode
 
 DEFAULT_SAMPLE_TRIALS = 100_000
 DEFAULT_SAMPLE_SEED = 0x1D5EED
@@ -145,16 +146,24 @@ def deletion_balls_disjoint(words) -> tuple[bool, tuple[BitSeq, BitSeq] | None]:
     return True, None
 
 
-def check_sidc(n: int, r_hat: int, d: int, b: int) -> bool:
-    """True iff the single-deletion balls of all distinct codewords are disjoint."""
+def _check_sidc_cap(n: int) -> None:
     if n > _SIDC_CAP:
         raise ValidationError(f"ball-disjointness check is capped at n = {_SIDC_CAP} (got n={n})")
+
+
+def check_sidc(n: int, r_hat: int, d: int, b: int) -> bool:
+    """True iff the single-deletion balls of all distinct codewords are disjoint."""
+    _check_sidc_cap(n)
     ok, _ = deletion_balls_disjoint(enumerate_codewords(raw_params(n, r_hat, d, b)))
     return ok
 
 
 def check_sidc_range(n_min: int, n_max: int, r_hat: int, d: int, b: int | None = None) -> list[Report]:
-    """One sidc report per code length n_min..n_max, over every residue or only b."""
+    """One sidc report per code length n_min..n_max, over every residue or only b.
+
+    An n_max above the cap is rejected before any length is enumerated.
+    """
+    _check_sidc_cap(n_max)
     reports = []
     for n in range(n_min, n_max + 1):
         modulus = raw_params(n, r_hat, d, 0).modulus
@@ -324,14 +333,15 @@ def check_channel_campaign(
     if jobs < 1:
         raise ValidationError(f"jobs must be at least 1 (got jobs={jobs})")
     cp = derive_params(k, r, d, b)
-    fp = cached_front_params(k, r)
+    # raises for an infeasible (k, r) here, before any child is forked
+    cached_front_params(k, r)
     bounds = [(trials * j // jobs, trials * (j + 1) // jobs) for j in range(jobs)]
     digest = hashlib.sha256()
     failures = 0
     counterexample = None
-    blocks = _campaign_blocks(cp, fp, base_seed, bounds) if jobs > 1 else None
+    blocks = _campaign_blocks(cp, base_seed, bounds) if jobs > 1 else None
     # jobs=1, or a block gave no result: every trial runs here, as one serial block
-    for text, block_failures, first in blocks or [_campaign_block(cp, fp, base_seed, 0, trials)]:
+    for text, block_failures, first in blocks or [_campaign_block(cp, base_seed, 0, trials)]:
         digest.update(text.encode())
         failures += block_failures
         counterexample = counterexample or first
@@ -344,17 +354,16 @@ def check_channel_campaign(
     )
 
 
-def _campaign_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi: int):
+def _campaign_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
     """Trials lo..hi-1: (their digest lines as one text, failure count, first counterexample)."""
     lines = []
     failures = 0
     counterexample = None
     for index in range(lo, hi):
         stream = Stream(trial_seed(base_seed, index))
-        u = _random_word(stream, fp.k - 1)
-        z = embed_encode(cp, front_encode(u, fp))
+        u = _random_word(stream, cp.k - 1)
         event = random_event(cp.n, stream.next())
-        received = apply_event(z, event)
+        received = apply_event(encode_message(u, cp.k, cp.r, cp.d, cp.b), event)
         try:
             ok = decode_message(cp, received) == u
         except CodecError:
@@ -367,7 +376,7 @@ def _campaign_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi
     return "".join(lines), failures, counterexample
 
 
-def _campaign_blocks(cp: CodeParams, fp: FrontParams, base_seed: int, bounds: list):
+def _campaign_blocks(cp: CodeParams, base_seed: int, bounds: list):
     """_campaign_block over each (lo, hi) of bounds, in order; all but the last run forked.
 
     None if any block yields no result: its child failed or never started, or it raised here.
@@ -375,8 +384,8 @@ def _campaign_blocks(cp: CodeParams, fp: FrontParams, base_seed: int, bounds: li
     pending = []  # (pid, pipe read end), or None where no child started, in block order
     try:
         for lo, hi in bounds[:-1]:
-            pending.append(_fork_block(cp, fp, base_seed, lo, hi))
-        last = _campaign_block(cp, fp, base_seed, *bounds[-1])
+            pending.append(_fork_block(cp, base_seed, lo, hi))
+        last = _campaign_block(cp, base_seed, *bounds[-1])
         results = []
         while pending:
             child = pending.pop(0)
@@ -390,7 +399,7 @@ def _campaign_blocks(cp: CodeParams, fp: FrontParams, base_seed: int, bounds: li
     return None if None in results else results + [last]
 
 
-def _fork_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi: int):
+def _fork_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
     """(pid, pipe read end) of a child running _campaign_block(lo, hi), or None if none started."""
     try:
         rfd, wfd = os.pipe()
@@ -406,7 +415,7 @@ def _fork_block(cp: CodeParams, fp: FrontParams, base_seed: int, lo: int, hi: in
         status = 1
         try:
             os.close(rfd)
-            text, failures, first = _campaign_block(cp, fp, base_seed, lo, hi)
+            text, failures, first = _campaign_block(cp, base_seed, lo, hi)
             with open(wfd, "wb") as pipe:
                 pipe.write(f"{failures}\n{first or ''}\n{text}".encode())
             status = 0

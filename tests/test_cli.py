@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from rllindel import cli
 
 CMD = [sys.executable, "-m", "rllindel"]
+# the codeword of the message 010011000101 at k = 13, r = 4
+CODEWORD = "10101010111011110010"
 
 
 def run(*args, stdin: str = ""):
@@ -319,6 +321,51 @@ class TestStreamFailures:
         assert result.returncode == 1
         if message is not None:
             assert result.stderr == f"rllindel: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "args, stdin, status",
+        [
+            (("params", "--k", "6", "--r", "4"), None, 2),
+            (("decode", "--k", "13", "--r", "4"), f"{CODEWORD}\n0101\n{CODEWORD}\n", 3),
+            (("corrupt", "--seed", "1"), f"{CODEWORD}\n0101\n{CODEWORD}\n", 0),
+        ],
+        ids=["params", "decode", "corrupt"],
+    )
+    @pytest.mark.parametrize(
+        "lose_stderr",
+        [lambda: os.close(2), lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2)],
+        ids=["closed", "read-only"],
+    )
+    def test_lost_stderr_keeps_exit_code_and_stdout(self, args, stdin, status, lose_stderr):
+        expected = run(*args, stdin=stdin or "")
+        assert expected.returncode == status
+        result = subprocess.run(
+            CMD + list(args), input=stdin, stdout=subprocess.PIPE,
+            preexec_fn=lose_stderr, text=True, timeout=300,
+        )
+        assert result.returncode == status
+        assert result.stdout == expected.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("params", "--k", "13", "--r", "4"),
+            ("verify", "gap-condition", "--rhat", "4"),
+            ("analyze", "redundancy", "--n-min", "14", "--n-max", "15"),
+        ],
+        ids=["params", "verify", "analyze"],
+    )
+    def test_reader_gone_before_the_first_write(self, args):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                CMD + list(args), stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr == ""
 
 
 class TestAnalyze:

@@ -7,9 +7,8 @@ import pytest
 from rllindel import oracle
 from rllindel.bitseq import BitSeq, is_rll
 from rllindel.channel import Stream, apply_event, random_event, trial_seed
-from rllindel.code import derive_params, embed_encode, raw_params
+from rllindel.code import derive_params, encode_message, raw_params
 from rllindel.errors import DataError, InvariantError, ValidationError
-from rllindel.front import cached_front_params, front_encode
 from rllindel.oracle import (
     Report,
     _random_word,
@@ -107,6 +106,15 @@ class TestDeletionBalls:
         with pytest.raises(ValidationError):
             check_sidc(17, 4, 6, 0)
 
+    def test_range_guard_comes_before_any_enumeration(self, monkeypatch):
+        def enumerated(params):
+            raise AssertionError(f"enumerated n={params.n} before the cap check")
+
+        monkeypatch.setattr(oracle, "enumerate_codewords", enumerated)
+        with pytest.raises(ValidationError) as excinfo:
+            check_sidc_range(16, 17, 4, 6)
+        assert str(excinfo.value) == "ball-disjointness check is capped at n = 16 (got n=17)"
+
     def test_range_gives_one_report_per_length(self):
         reports = check_sidc_range(9, 10, 4, 6)
         assert "".join(report.render() for report in reports) == (
@@ -190,11 +198,11 @@ class TestChannelCampaign:
 
 
 def trial_words(k, r, base_seed, index):
-    """The words trial index of a campaign hands to the embedder and to the decoder."""
+    """The message trial index of a campaign encodes and the word its decoder receives."""
     cp = derive_params(k, r)
     stream = Stream(trial_seed(base_seed, index))
-    y = front_encode(_random_word(stream, k - 1), cached_front_params(k, r))
-    return y, apply_event(embed_encode(cp, y), random_event(cp.n, stream.next()))
+    u = _random_word(stream, k - 1)
+    return u, apply_event(encode_message(u, k, r), random_event(cp.n, stream.next()))
 
 
 def assert_no_child_left():
@@ -241,14 +249,14 @@ class TestShardedCampaign:
         # Trial 150 sits in the middle of three blocks; trial 250 in the last,
         # which this process runs itself, raises too but must not win
         raising = {trial_words(60, 6, 4, i)[0]: i for i in (150, 250)}
-        embed = oracle.embed_encode
+        encode = oracle.encode_message
 
-        def faulty(cp, y):
-            if y in raising:
-                raise InvariantError(f"injected at trial {raising[y]}")
-            return embed(cp, y)
+        def faulty(u, *args):
+            if u in raising:
+                raise InvariantError(f"injected at trial {raising[u]}")
+            return encode(u, *args)
 
-        monkeypatch.setattr(oracle, "embed_encode", faulty)
+        monkeypatch.setattr(oracle, "encode_message", faulty)
         with pytest.raises(InvariantError) as serial:
             check_channel_campaign(60, 6, 301, 4)
         assert str(serial.value) == "injected at trial 150"
