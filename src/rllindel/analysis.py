@@ -44,15 +44,8 @@ def g_bound(r: int) -> int:
     return (1 << (r - 3)) + 1
 
 
-def h_bound(r: int) -> int:
-    """The paper's feasibility bound 2^r + r - 5 on the front end's output length k.
-
-    The front end accepts 2 <= k <= h_bound(r) - 2 = 2^r + r - 7: FrontParams
-    rejects the bound itself and the length below it (see front).
-    """
-    if r < 3:
-        raise ValidationError(f"run limit must be at least 3 (got r={r})")
-    return feasibility_bound(r)
+# the paper's name for the feasibility bound 2^r + r - 5
+h_bound = feasibility_bound
 
 
 def phi(n: float) -> float:

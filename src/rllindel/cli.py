@@ -14,11 +14,13 @@ a DataError for its line and carry on with the next. Every command exits 1,
 without a traceback, when its standard output is closed, and a per-line
 command also when its standard input is closed (with one
 `rllindel: error: standard output is closed` or `input` line on stderr).
-Every command also exits 1, silently, when the reader of its output leaves
-early (a broken pipe); main alone catches it. Every stderr line goes through
-_to_stderr, which swaps a closed or unwritable stderr for the null device,
-so the run and its exit code go on and nothing meant for stderr reaches
-stdout.
+Every command also exits 1 when a write to its standard output fails: with
+one `rllindel: error: cannot write standard output: <reason>` line on
+stderr, or silently when the reader of its output leaves early (a broken
+pipe); main alone catches both. Every stdout write goes through _to_stdout
+and every stderr line through _to_stderr, which swaps a closed or
+unwritable stderr for the null device, so the run and its exit code go on
+and nothing meant for stderr reaches stdout.
 
 Start-up is part of every command's cost, so this module loads only the
 codec: the channel, the oracles and the analysis are imported by the
@@ -35,7 +37,6 @@ from .bitseq import BitSeq
 from .code import derive_params, embed_encode, encode_message, params_text
 from .decoder import correct, decode_message
 from .errors import DataError, ValidationError
-from .front import cached_front_params
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,6 +61,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _StdoutError(Exception):
+    """A write to stdout failed other than by a broken pipe; the text is the reason."""
+
+
+def _to_stdout(text: str, flush: bool = False) -> None:
+    """Write text to stdout, then flush it if asked; any failure but a broken pipe raises _StdoutError."""
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _StdoutError(exc.strerror or exc) from None
+
+
 def _to_stderr(line: str) -> None:
     """Write one line to stderr; a closed (None) or unwritable stderr becomes the null device."""
     try:
@@ -78,12 +95,11 @@ def _for_each_line(transform: Callable[[int, str], object], logged: bool = False
     encoding cannot decode becomes a lone surrogate, which fails its line as
     an invalid character, whatever error handler stdin was opened with. A
     closed stdin ends the run with EXIT_STREAM; main has already checked
-    stdout, and it handles a broken pipe.
+    stdout, and it handles a failed write.
     """
     if sys.stdin is None:
         _to_stderr("rllindel: error: standard input is closed")
         return EXIT_STREAM
-    out = sys.stdout
     if hasattr(sys.stdin, "reconfigure"):
         sys.stdin.reconfigure(errors="surrogateescape")
     failed = False
@@ -96,16 +112,16 @@ def _for_each_line(transform: Callable[[int, str], object], logged: bool = False
             continue
         if logged:
             result, log = result
-            out.write(f"{result}\n")
+            _to_stdout(f"{result}\n")
             _to_stderr(log)
         else:
-            out.write(f"{result}\n")
+            _to_stdout(f"{result}\n")
     return EXIT_DATA if failed else EXIT_OK
 
 
 def _cmd_params(args) -> int:
     cp = derive_params(args.k, args.r, args.d, args.b)
-    sys.stdout.write(params_text(cp))
+    _to_stdout(params_text(cp))
     return EXIT_OK
 
 
@@ -115,9 +131,6 @@ def _cmd_encode(args) -> int:
         def transform(number: int, text: str) -> BitSeq:
             return embed_encode(cp, BitSeq.parse(text))
     else:
-        # constructed eagerly so infeasible (k, r) fail before any input is read
-        cached_front_params(args.k, args.r)
-
         def transform(number: int, text: str) -> BitSeq:
             return encode_message(BitSeq.parse(text), args.k, args.r, args.d, args.b)
     return _for_each_line(transform)
@@ -129,9 +142,6 @@ def _cmd_decode(args) -> int:
         def transform(number: int, text: str) -> BitSeq:
             return correct(cp, BitSeq.parse(text))[cp.m :]
     else:
-        # constructed eagerly so infeasible (k, r) fail before any input is read
-        cached_front_params(args.k, args.r)
-
         def transform(number: int, text: str) -> BitSeq:
             return decode_message(cp, BitSeq.parse(text))
     return _for_each_line(transform)
@@ -153,7 +163,7 @@ def _cmd_corrupt(args) -> int:
 def _emit_reports(reports) -> int:
     ok = True
     for report in reports:
-        sys.stdout.write(report.render())
+        _to_stdout(report.render())
         ok = ok and report.passed
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -216,7 +226,7 @@ def _cmd_analyze(args) -> int:
 
     _check_range(args)
     rows = [redundancy_row(n) for n in range(args.n_min, args.n_max + 1)]
-    sys.stdout.write(emit_csv(rows))
+    _to_stdout(emit_csv(rows))
     return EXIT_OK
 
 
@@ -334,12 +344,15 @@ def main(argv=None) -> int:
         return EXIT_STREAM
     try:
         status = args.func(args)
-        # a reader that left must fail this flush, not the one at exit
-        sys.stdout.flush()
+        # a reader that left or a full disk must fail this flush, not the one at exit
+        _to_stdout("", flush=True)
         return status
-    except BrokenPipeError:
-        # the reader left; the output still buffered goes to the null device
-        # at exit, so its flush cannot fail a second time
+    except (BrokenPipeError, _StdoutError) as exc:
+        # a reader that left is no error to report
+        if isinstance(exc, _StdoutError):
+            _to_stderr(f"rllindel: error: cannot write standard output: {exc}")
+        # the output still buffered goes to the null device at exit, so its
+        # flush cannot fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_STREAM
     except ValidationError as exc:

@@ -54,7 +54,7 @@ from itertools import compress
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_patterns, le_encode
 from .errors import DataError, InvariantError, ValidationError
-from .front import _message, _nrzi_encode, _wi_encode, cached_front_params
+from .front import _message, _nrzi_encode, _wi_encode
 
 # The word length from which _sliced_sum, with the word's packing counted,
 # beats one compress pass over the coefficients. Measured with timeit on one
@@ -114,6 +114,12 @@ def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) ->
     to the top of its valid range and b to 0. Results are memoized per
     argument tuple; a rejection is not cached, so it is raised again on every
     call with the same text.
+
+    This is the pipeline's only range check. r >= r_hat gives
+    k <= 2^r - 2, within the front end's range: k <= 2^r + r - 5 for r <= 4
+    and k <= 2^r + r - 7 for r >= 5. Of the two lengths at r <= 4 where
+    the front end's decoder confirms its parse by re-encoding, 2^r + r - 6
+    and 2^r + r - 5, only (k, r) = (14, 4) is reached, with d = 6 or 7.
     """
     if k < 7:
         raise ValidationError(f"message-part length must be at least 7 (got k={k})")
@@ -305,9 +311,8 @@ def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:
 def encode_message(u: BitSeq, k: int, r: int, d: int | None = None, b: int | None = None) -> BitSeq:
     """Full pipeline: message of length k-1 to codeword of length n = k + r_hat + 3."""
     cp = derive_params(k, r, d, b)
-    fp = cached_front_params(k, r)
     # _wi_encode checks that its output, the message part, has length k
-    return BitSeq._wrap(_embed(cp, _nrzi_encode(_wi_encode(_message(u, fp), k, r))))
+    return BitSeq._wrap(_embed(cp, _nrzi_encode(_wi_encode(_message(u, k), k, r))))
 
 
 def params_text(cp: CodeParams) -> str:

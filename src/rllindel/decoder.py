@@ -51,7 +51,7 @@ from __future__ import annotations
 from .bitseq import _TO_ASCII, BitSeq
 from .code import CodeParams, _coefficients, _weight
 from .errors import DataError, InvariantError, UncorrectableError
-from .front import _nrzi_decode, _wi_decode, cached_front_params
+from .front import _nrzi_decode, _wi_decode
 
 
 def _count_before(packed: int, length: int, symbol: int, j: int) -> int:
@@ -156,6 +156,5 @@ def correct(cp: CodeParams, received: BitSeq) -> BitSeq:
 def decode_message(cp: CodeParams, received: BitSeq) -> BitSeq:
     """Correct the received word, strip the parity part, invert the front-end."""
     z = _correct(cp, received.tobytes())
-    fp = cached_front_params(cp.k, cp.r)
     # z has length n, so the message part has length k
-    return BitSeq._wrap(_wi_decode(_nrzi_decode(z[cp.m :]), fp.k, fp.r))
+    return BitSeq._wrap(_wi_decode(_nrzi_decode(z[cp.m :]), cp.k, cp.r))

@@ -63,19 +63,21 @@ in O(s) Python steps. tests/reference.py keeps the one-bytearray undo, which
 moves every symbol behind each insertion point, as the reference the tests
 compare this decoder against, bytes and error texts alike.
 
-Decodability bound: FrontParams rejects k > 2^r + r - 7 with one check, which
-leaves out the two lengths 2^r + r - 6 and 2^r + r - 5 below the feasibility
-bound; its text gives the reason for the given r. What fails there depends on
-r. For r >= 5 the encoder itself is not injective at both lengths: a pointer's
-high ones, then the sentinel, then a one-symbol tail spell a (1^(r-1) 0) count
+Decodability bound: FrontParams accepts k <= 2^r + r - 5, the feasibility
+bound, for r <= 4, and k <= 2^r + r - 7 for r >= 5. For r >= 5 the encoder
+itself is not injective at 2^r + r - 6 and 2^r + r - 5: a pointer's high
+ones, then the sentinel, then a one-symbol tail spell a (1^(r-1) 0) count
 block, so two messages share a codeword. At r = 5, k = 31,
 000000000001100000000000000000 and 001011100101001100001001000001 both encode
 to 0010111001010011000010010011110. For r <= 4 the encoder is injective at
-both lengths (checked exhaustively at r = 3 and r = 4), and only the decoder's
-parse fails: it reads the replacement count from the right, greedily stripping
-(1^(r-1) 0) blocks and then zeros, and strips a spurious block for some
-messages. No collision and no parse failure has been seen at an accepted
-length; k <= 2^r + r - 7 round-trips exhaustively for every tested r.
+both lengths (checked exhaustively), but the greedy count parse, which
+strips (1^(r-1) 0) blocks from the right and then zeros, strips a spurious
+block for some messages. So at those two lengths only, _wi_decode tries the
+greedy block count, then each smaller one, and keeps the first message that
+re-encodes to the word; an emitted word needs at most 4 tries (checked
+exhaustively) and never fails. Every other length takes the greedy parse
+alone; no collision and no parse failure has been seen there at an accepted
+length.
 
 Bytes inside: the private functions (_wi_encode, _wi_decode, _nrzi_encode,
 _nrzi_decode, _omega) take and return raw bytes, one byte per symbol. Only
@@ -96,7 +98,15 @@ _FORBIDDEN_ONE = b"\x01"
 
 
 def feasibility_bound(r: int) -> int:
-    """The feasibility bound 2^r + r - 5 on the front end's output length k."""
+    """The feasibility bound 2^r + r - 5 on the front end's output length k.
+
+    The front end reaches it for r <= 4 and stops two below it, at
+    2^r + r - 7, for r >= 5, where the encoder is not injective at the top
+    two lengths. r must be at least 3, as the count tail omega needs
+    t = r - 1 >= 2.
+    """
+    if r < 3:
+        raise ValidationError(f"run limit must be at least 3 (got r={r})")
     return (1 << r) + r - 5
 
 
@@ -106,35 +116,30 @@ _FrontFields = namedtuple("_FrontFields", "k r")
 class FrontParams(_FrontFields):
     """Front-end shape: output length k and target maximum run-length r, validated.
 
-    r must be at least 3, as the count tail omega needs t = r - 1 >= 2.
+    r must be at least 3 and k at least 2. k may reach the feasibility bound
+    2^r + r - 5 for r <= 4, and 2^r + r - 7 for r >= 5 (see the module's
+    decodability bound).
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "FrontParams":
         self = super().__new__(cls, *args, **kwargs)
-        if self.r < 3:
-            raise ValidationError(f"run limit must be at least 3 (got r={self.r})")
+        bound = feasibility_bound(self.r)
         if self.k < 2:
             raise ValidationError(f"output length must be at least 2 (got k={self.k})")
-        cap = feasibility_bound(self.r)
-        if self.k > cap - 2:
-            why = (
-                "the encoder is not injective" if self.r >= 5
-                else "the replacement-count parse is ambiguous"
-            )
+        if self.k > bound:
             raise ValidationError(
-                f"k={self.k} with r={self.r} is rejected: the front end accepts "
-                f"k <= 2^r + r - 7 = {cap - 2}, two below the feasibility bound "
-                f"2^r + r - 5 = {cap}; at 2^r + r - 6 and 2^r + r - 5 {why}"
+                f"k={self.k} with r={self.r} is rejected: it exceeds the feasibility "
+                f"bound 2^r + r - 5 = {bound}"
+            )
+        if self.r >= 5 and self.k > bound - 2:
+            raise ValidationError(
+                f"k={self.k} with r={self.r} is rejected: for r >= 5 the front end "
+                f"accepts k <= 2^r + r - 7 = {bound - 2}, as at 2^r + r - 6 and "
+                f"2^r + r - 5 the encoder is not injective"
             )
         return self
-
-
-@lru_cache(maxsize=256, typed=True)
-def cached_front_params(k: int, r: int) -> FrontParams:
-    """FrontParams(k, r), validated once per (k, r); a rejection is raised again on every call."""
-    return FrontParams(k, r)
 
 
 def omega(s: int, t: int) -> BitSeq:
@@ -253,17 +258,30 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
         raise DataError(f"word violates the zero-run constraint for r={r}")
     block = b"\x01" * (r - 1) + b"\x00"
     i = len(data)
-    nblocks = 0
     while i >= r and data[i - r : i] == block:
         i -= r
-        nblocks += 1
-    a = 0
+    if r > 4 or not 0 <= feasibility_bound(r) - k <= 1:
+        return _undo(data, i, r)
+    # the greedy parse can strip a spurious block here; the encoder is
+    # injective, so the one message that re-encodes to the word is the answer
+    for end in range(i, len(data) + 1, r):
+        try:
+            u = _undo(data, end, r)
+        except DataError:
+            continue
+        if _wi_encode(u, k, r) == data:
+            return u
+    raise DataError("no replacement count gives a message that encodes to this word")
+
+
+def _undo(data: bytes, i: int, r: int) -> bytes:
+    """The message of a zero-constrained word whose count tail's (1^(r-1) 0) blocks start at i."""
     while i >= 1 and data[i - 1] == 0:
         i -= 1
-        a += 1
     if i == 0:
         raise DataError("no sentinel symbol found while parsing the replacement count")
-    s = a + r * nblocks
+    # the count tail omega(s) after the sentinel has s symbols
+    s = len(data) - i
     if s == 0:
         return data[: i - 1]
     # a bytearray, as slice assignment copies any other buffer first
@@ -324,10 +342,10 @@ def _wi_decode(data: bytes, k: int, r: int) -> bytes:
     return b"".join((left, right[::-1], data[t0:e]))
 
 
-def _message(u: BitSeq, fp: FrontParams) -> bytes:
+def _message(u: BitSeq, k: int) -> bytes:
     """The symbols of a message, which must have length k - 1."""
-    if len(u) != fp.k - 1:
-        raise DataError(f"message length {len(u)} != k - 1 = {fp.k - 1}")
+    if len(u) != k - 1:
+        raise DataError(f"message length {len(u)} != k - 1 = {k - 1}")
     return u.tobytes()
 
 
@@ -355,7 +373,7 @@ def _nrzi_decode(data: bytes) -> bytes:
 
 def wi_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
     """Encode a message of length k-1 into a zero-run-constrained word of length k."""
-    return BitSeq._wrap(_wi_encode(_message(u, fp), fp.k, fp.r))
+    return BitSeq._wrap(_wi_encode(_message(u, fp.k), fp.k, fp.r))
 
 
 def wi_decode(x: BitSeq, fp: FrontParams) -> BitSeq:
@@ -366,7 +384,9 @@ def wi_decode(x: BitSeq, fp: FrontParams) -> BitSeq:
     sentinel symbol, or trailing symbols that are neither a valid pointer nor
     the end marker). Other words the encoder never emits can still parse: at
     (k, r) = (10, 4), 1010101000 decodes to 000010000, which encodes to
-    1000101000. Re-encoding the result is the only membership test.
+    1000101000. Re-encoding the result is the only membership test; at
+    k = 2^r + r - 6 and 2^r + r - 5 with r <= 4 this function makes it, and
+    raises DataError for a word no message encodes to.
     """
     return BitSeq._wrap(_wi_decode(_word(x, fp), fp.k, fp.r))
 
@@ -388,7 +408,7 @@ def nrzi_decode(y: BitSeq) -> BitSeq:
 
 def front_encode(u: BitSeq, fp: FrontParams) -> BitSeq:
     """Message to run-length-limited word: sequence replacement, then NRZI."""
-    return BitSeq._wrap(_nrzi_encode(_wi_encode(_message(u, fp), fp.k, fp.r)))
+    return BitSeq._wrap(_nrzi_encode(_wi_encode(_message(u, fp.k), fp.k, fp.r)))
 
 
 def front_decode(y: BitSeq, fp: FrontParams) -> BitSeq:

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, streaming behavior, and exit codes."""
+import errno
 import io
 import os
 import subprocess
@@ -89,9 +90,15 @@ class TestEncodeDecode:
         assert result.stderr.startswith("ERROR 1 ")
         assert len(result.stdout.splitlines()) == 1
 
-    def test_pipeline_rejects_infeasible_pair(self):
-        result = run("encode", "--k", "14", "--r", "4", stdin="1" * 13 + "\n")
-        assert result.returncode == 2
+    def test_pipeline_round_trip_at_k14_r4(self):
+        # the front end's top length at r = 4; 1010001100001 is one of the
+        # messages its greedy count parse alone would misread
+        messages = "1010001100001\n1111111111111\n"
+        encoded = run("encode", "--k", "14", "--r", "4", "--d", "6", stdin=messages)
+        assert encoded.returncode == 0
+        corrupted = run("corrupt", "--seed", "2", "--op", "delete", stdin=encoded.stdout)
+        decoded = run("decode", "--k", "14", "--r", "4", "--d", "6", stdin=corrupted.stdout)
+        assert (decoded.returncode, decoded.stdout) == (0, messages)
 
 
 class TestCorrupt:
@@ -128,9 +135,12 @@ class TestVerify:
         assert result.returncode == 0
         assert result.stdout.startswith("CHECK front-roundtrip k=10 r=4 PASS")
 
-    def test_rejected_pair_exits_2(self):
-        result = run("verify", "front-roundtrip", "--k", "14", "--r", "4")
-        assert result.returncode == 2
+    def test_front_roundtrip_at_the_feasibility_bound(self):
+        result = run("verify", "front-roundtrip", "--k", "15", "--r", "4")
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[1] == (
+            "check=front-roundtrip k=15 r=4 result=pass messages=16384 failures=0"
+        )
 
     def test_sidc_all_residues(self):
         result = run(
@@ -268,6 +278,41 @@ class TestOutputStreams:
         assert merged.stdout.splitlines() == [words[0], logs[0], logs[1], words[1], logs[2]]
 
 
+# Every command, with arguments and stdin (None for a command that reads
+# none) on which it exits 0 when its streams are open. encode's 1000
+# codewords overfill a stdout buffer, so a write inside its loop fails, not
+# only the flush at the end.
+EVERY_COMMAND = {
+    "params": (("params", "--k", "13", "--r", "4"), None),
+    "encode": (("encode", "--k", "13", "--r", "4"), "010011000101\n" * 1000),
+    "decode": (("decode", "--k", "13", "--r", "4"), f"{CODEWORD}\n"),
+    "corrupt": (("corrupt", "--seed", "1"), f"{CODEWORD}\n"),
+    "verify": (("verify", "front-roundtrip", "--k", "10", "--r", "4"), None),
+    "analyze": (("analyze", "redundancy", "--n-min", "14", "--n-max", "15"), None),
+}
+
+
+def _read_only(fd: int):
+    return lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+
+# fault: (what the child does to its fds before exec, where stdout goes --
+# a pipe, /dev/full, or a pipe whose reader has gone -- the exit code, and
+# the one `rllindel: error:` line on stderr, if any). A command that reads
+# no stdin ignores a closed one and exits 0. stderr is not read where the
+# fault takes it.
+STREAM_FAULTS = {
+    "closed-stdin": (lambda: os.close(0), "pipe", 1, "standard input is closed"),
+    "closed-stdout": (lambda: os.close(1), "pipe", 1, "standard output is closed"),
+    "closed-stderr": (lambda: os.close(2), "pipe", 0, None),
+    "read-only-stdout": (_read_only(1), "pipe", 1,
+                         f"cannot write standard output: {os.strerror(errno.EBADF)}"),
+    "read-only-stderr": (_read_only(2), "pipe", 0, None),
+    "full-stdout": (None, "full", 1, f"cannot write standard output: {os.strerror(errno.ENOSPC)}"),
+    "reader-gone": (None, "gone", 1, None),
+}
+
+
 class TestStreamFailures:
     """A closed standard stream or a reader that leaves early stops the run with exit 1, no traceback."""
 
@@ -367,6 +412,35 @@ class TestStreamFailures:
         assert result.returncode == 1
         assert result.stderr == ""
 
+    @pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
+    @pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+    def test_every_command_under_every_stream_fault(self, command, fault, tmp_path):
+        args, stdin_text = EVERY_COMMAND[command]
+        preexec, stdout_target, status, error = STREAM_FAULTS[fault]
+        (tmp_path / "stdin.txt").write_text(stdin_text or "")
+        read_end, gone = os.pipe()
+        os.close(read_end)
+        full = os.open("/dev/full", os.O_WRONLY)
+        stdout = {"pipe": subprocess.PIPE, "full": full, "gone": gone}[stdout_target]
+        try:
+            with open(tmp_path / "stdin.txt") as stdin, open(tmp_path / "stderr.txt", "w+") as err:
+                result = subprocess.run(
+                    CMD + list(args), stdin=stdin, stdout=stdout, stderr=err,
+                    preexec_fn=preexec, timeout=300,
+                )
+                err.seek(0)
+                stderr = err.read()
+        finally:
+            os.close(gone)
+            os.close(full)
+        if fault == "closed-stdin" and stdin_text is None:
+            status, error = 0, None
+        assert result.returncode == status
+        assert "Traceback" not in stderr
+        assert [line for line in stderr.splitlines() if line.startswith("rllindel:")] == (
+            [] if error is None else [f"rllindel: error: {error}"]
+        )
+
 
 class TestAnalyze:
     def test_redundancy_table(self):
@@ -402,8 +476,17 @@ BAD_PARAMETERS = [
     ("decode --k 6 --r 4", "message-part length must be at least 7 (got k=6)"),
     ("decode --raw --k 14 --r 4 --d 99", "free coefficient d=99 is outside [5, 7] for r_hat=4"),
     (
-        "verify front-roundtrip --k 14 --r 5",
-        "exhaustive round-trip check is capped at k = 13 (got k=14)",
+        "verify front-roundtrip --k 16 --r 5",
+        "exhaustive round-trip check is capped at k = 15 (got k=16)",
+    ),
+    (
+        "verify front-roundtrip --k 16 --r 4",
+        "k=16 with r=4 is rejected: it exceeds the feasibility bound 2^r + r - 5 = 15",
+    ),
+    (
+        "verify front-roundtrip --k 31 --r 5",
+        "k=31 with r=5 is rejected: for r >= 5 the front end accepts k <= 2^r + r - 7 = 30, "
+        "as at 2^r + r - 6 and 2^r + r - 5 the encoder is not injective",
     ),
     ("verify front-roundtrip --k 5 --r 1", "run limit must be at least 3 (got r=1)"),
     ("verify front-roundtrip --k 3 --r 2", "run limit must be at least 3 (got r=2)"),

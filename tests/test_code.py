@@ -341,9 +341,18 @@ class TestPipelineEncode:
         assert len(z) == cp.n
         assert is_codeword(cp, z) and is_rll(z, 4)
 
-    def test_rejects_infeasible_pair(self):
-        with pytest.raises(ValidationError):
-            encode_message(BitSeq("1" * 13), 14, 4)
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_round_trip_at_k14_r4(self, d):
+        # the front end's top length at r = 4, the one pair derive_params
+        # accepts there; (14, 4, 5) stays excluded
+        cp = derive_params(14, 4, d)
+        for message in ("0" * 13, "1" * 13, "0100110001011", "1010001100001"):
+            u = BitSeq(message)
+            z = encode_message(u, 14, 4, d)
+            assert is_codeword(cp, z) and is_rll(z, 4)
+            assert decode_message(cp, z) == u
+            for i in range(cp.n):
+                assert decode_message(cp, z[:i] + z[i + 1 :]) == u
 
 
 def _raises_twice(call, *args, **kwargs) -> str:
@@ -358,7 +367,7 @@ def _raises_twice(call, *args, **kwargs) -> str:
 
 
 class TestMemoizedValidation:
-    """derive_params and the front-end parameters are memoized; rejections are not."""
+    """derive_params is memoized; its rejections are not."""
 
     def test_derive_params_rejects_every_time(self):
         assert "r_hat" in _raises_twice(derive_params, 14, 3)
@@ -369,21 +378,20 @@ class TestMemoizedValidation:
 
     def test_encode_message_rejects_every_time(self):
         u = BitSeq("1" * 13)
-        # derive_params accepts (14, 4) with the default d; the front end rejects it
-        assert "ambiguous" in _raises_twice(encode_message, u, 14, 4)
-        # the parameter bundle is checked before the front end, on every call
+        # derive_params is the one range check: (14, 4) with the default d is served
+        assert len(encode_message(u, 14, 4)) == 21
         assert "(14, 4, 5)" in _raises_twice(encode_message, u, 14, 4, d=5)
         assert "free coefficient" in _raises_twice(encode_message, u, 14, 4, d=8)
         assert "residue" in _raises_twice(encode_message, u, 14, 4, b=32)
         z = encode_message(BitSeq("1" * 12), 13, 4)
         assert decode_message(derive_params(13, 4), z) == BitSeq("1" * 12)
 
-    def test_decode_message_rejects_every_time(self):
-        # a bundle built without validation at a length the front end rejects;
-        # the all-zero word is a codeword at b = 0, so correction succeeds first
-        cp = CodeParams.unchecked(14, 4, 4, 7, 0)
-        z = BitSeq("0" * cp.n)
-        assert "ambiguous" in _raises_twice(decode_message, cp, z)
+    def test_decode_message_serves_every_derived_bundle(self):
+        # the bundle is the one range check; at (14, 4) the front end's
+        # greedy count parse misparses 164 of the 8192 messages
+        cp = derive_params(14, 4)
+        for u in (BitSeq("0" * 13), BitSeq("1010001100001")):
+            assert decode_message(cp, encode_message(u, 14, 4)) == u
         u = BitSeq("0" * 12)
         cp = derive_params(13, 4)
         assert decode_message(cp, encode_message(u, 13, 4)) == u

@@ -69,12 +69,19 @@ class TestFrontParams:
     def test_rejects_beyond_feasibility(self):
         with pytest.raises(ValidationError, match="feasibility"):
             FrontParams(16, 4)
+        # for r >= 5 the top two lengths stay out; see the collision test below
+        for k in (31, 32):
+            with pytest.raises(ValidationError, match="not injective"):
+                FrontParams(k, 5)
 
-    def test_rejects_ambiguous_tail_lengths(self):
-        # the last two feasible lengths misparse; see the decode test below
-        for k in (14, 15):
-            with pytest.raises(ValidationError, match="ambiguous"):
-                FrontParams(k, 4)
+    @pytest.mark.parametrize("k, r", [(5, 3), (6, 3), (14, 4), (15, 4)])
+    def test_top_two_lengths_round_trip_up_to_r4(self, k, r):
+        # the greedy count parse misparses some of these words; see the
+        # decode tests below
+        fp = FrontParams(k, r)
+        for message in ("0" * (k - 1), "1" * (k - 1), "0001" * k):
+            u = BitSeq(message[: k - 1])
+            assert wi_decode(wi_encode(u, fp), fp) == u
 
 
 class TestReplacement:
@@ -130,13 +137,37 @@ class TestReplacement:
             seen.add(x)
             assert wi_decode(x, fp) == u
 
-    def test_rejected_length_really_misparses(self):
-        # k = 5, r = 3 sits past the safe bound; the greedy count parse reads
-        # this encoder output as having no sentinel at all
+    def test_greedy_misparse_round_trips_at_top_length(self):
+        # at k = 5, r = 3 the greedy count parse, which the reference keeps,
+        # reads this encoder output as having no sentinel at all; the decoder
+        # then tries fewer blocks and keeps the message that re-encodes
         x = _wi_encode(bytes([0, 0, 0, 1]), 5, 3)
         assert bytes(x) == bytes([0, 0, 1, 1, 0])
         with pytest.raises(DataError, match="sentinel"):
-            _wi_decode(bytes(x), 5, 3)
+            reference_wi_decode(x, 5, 3)
+        assert _wi_decode(x, 5, 3) == bytes([0, 0, 0, 1])
+
+    @pytest.mark.parametrize("k, r", [(5, 3), (6, 3), (14, 4), (15, 4)])
+    def test_top_length_decodes_exactly_the_emitted_words(self, k, r):
+        # the encoder is injective here, so half of all words are emitted; the
+        # decoder must return the one message of each and reject every other
+        decoded = 0
+        for word in map(bytes, product(b"\x00\x01", repeat=k)):
+            try:
+                u = _wi_decode(word, k, r)
+            except DataError:
+                continue
+            assert _wi_encode(u, k, r) == word
+            decoded += 1
+        assert decoded == 1 << (k - 1)
+
+    def test_top_length_rejects_a_word_the_greedy_parse_accepts(self):
+        # the greedy parse undoes this word into a message that encodes to
+        # another word, and no smaller block count gives one that encodes to it
+        word = BitSeq("00010001011110").tobytes()
+        assert reference_wi_decode(word, 14, 4) == BitSeq("0000100000000").tobytes()
+        with pytest.raises(DataError, match="no replacement count"):
+            _wi_decode(word, 14, 4)
 
     def test_encoder_collides_at_rejected_length_r5(self):
         # k = 31 = 2^r + r - 6 at r = 5: no parse can help, two messages share

@@ -165,18 +165,30 @@ class TestFrontRoundtrip:
         assert report.passed
         assert report.stats["messages"] == 512
 
-    def test_rejected_pair_fails_validation_before_running(self):
-        with pytest.raises(ValidationError):
-            check_front_roundtrip(14, 4)
+    @pytest.mark.parametrize("k, r", [(5, 3), (6, 3), (14, 4), (15, 4)])
+    def test_passes_at_top_two_lengths_up_to_r4(self, k, r):
+        report = check_front_roundtrip(k, r)
+        assert report.passed
+        assert report.stats == {"messages": 1 << (k - 1), "failures": 0}
 
     def test_cap(self):
-        with pytest.raises(ValidationError):
-            check_front_roundtrip(14, 5)
+        assert check_front_roundtrip(14, 5).passed
+        with pytest.raises(ValidationError, match="capped at k = 15"):
+            check_front_roundtrip(16, 5)
+        # a pair the front end rejects fails validation before the cap
+        with pytest.raises(ValidationError, match="feasibility"):
+            check_front_roundtrip(16, 4)
 
 
 class TestChannelCampaign:
     def test_small_campaign_passes(self):
         report = check_channel_campaign(13, 4, 400, 11)
+        assert report.passed
+        assert report.stats["failures"] == 0
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_passes_at_k14_r4(self, d):
+        report = check_channel_campaign(14, 4, 1000, 3, d)
         assert report.passed
         assert report.stats["failures"] == 0
 

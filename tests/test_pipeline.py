@@ -7,7 +7,7 @@ from rllindel import BitSeq, decode_message, derive_params, encode_message
 from rllindel.channel import apply_event, random_event
 from rllindel.code import coefficient_value, embed_encode, mu
 from rllindel.decoder import correct
-from rllindel.front import cached_front_params, nrzi_decode, nrzi_encode, wi_decode, wi_encode
+from rllindel.front import FrontParams, nrzi_decode, nrzi_encode, wi_decode, wi_encode
 
 # one (k, r) per band, at the smallest run limit the code accepts (r = r_hat)
 SHAPES = [(7, 4), (13, 4), (60, 6), (250, 8), (4000, 12)]
@@ -23,7 +23,7 @@ def cases(k: int, r: int, count: int):
     is received intact and with one seeded indel.
     """
     rng = random.Random(f"pipeline {k} {r}")
-    fp = cached_front_params(k, r)
+    fp = FrontParams(k, r)
     base = derive_params(k, r)
     a_m = coefficient_value(base.m, base.r_hat, base.d)
     for i in range(count):
@@ -39,7 +39,7 @@ def cases(k: int, r: int, count: int):
 
 @pytest.mark.parametrize("k, r", SHAPES)
 def test_fused_pipelines_match_the_layer_chain(k, r):
-    fp = cached_front_params(k, r)
+    fp = FrontParams(k, r)
     count = 8 if k == 4000 else 40
     fallbacks = 0
     for u, b, received in cases(k, r, count):
