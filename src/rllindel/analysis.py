@@ -28,11 +28,11 @@ import math
 from collections import namedtuple
 from itertools import compress
 
-from .bitseq import BitSeq, is_rll, le_encode
+from .bitseq import BitSeq, is_rll
 from .code import CodeParams, _coefficients, d_range
 from .errors import DataError, InvariantError, ValidationError
 from .front import feasibility_bound
-from .oracle import Report
+from .oracle import Report, _words
 
 _LN2 = math.log(2)
 
@@ -116,15 +116,8 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
         raise ValidationError(f"r_hat must be at least 4 (got {r_hat})")
     if last_symbol not in (0, 1):
         raise DataError(f"last symbol must be 0 or 1 (got {last_symbol})")
-    m = r_hat + 3
-    out = []
-    for mask in range(1 << m):
-        if mask & 1 != last_symbol:
-            continue
-        word = le_encode(mask, m)[::-1]  # most significant symbol first
-        if not is_rll(word, r_hat):
-            out.append(word)
-    return out
+    words = (BitSeq._wrap(data) for data in _words(r_hat + 3) if data[-1] == last_symbol)
+    return [word for word in words if not is_rll(word, r_hat)]
 
 
 # the one parameter triple whose fallback failure the sweep is expected to find

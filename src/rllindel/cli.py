@@ -17,10 +17,12 @@ command also when its standard input is closed (with one
 Every command also exits 1 when a write to its standard output fails: with
 one `rllindel: error: cannot write standard output: <reason>` line on
 stderr, or silently when the reader of its output leaves early (a broken
-pipe); main alone catches both. Every stdout write goes through _to_stdout
-and every stderr line through _to_stderr, which swaps a closed or
-unwritable stderr for the null device, so the run and its exit code go on
-and nothing meant for stderr reaches stdout.
+pipe); main alone catches both. The help texts are held to the same rules:
+argparse prints them through _Parser._print_message, inside main's try.
+Every stdout write goes through _to_stdout and every stderr line through
+_to_stderr, which swaps a closed or unwritable stderr for the null device,
+so the run and its exit code go on and nothing meant for stderr reaches
+stdout.
 
 Start-up is part of every command's cost, so this module loads only the
 codec: the channel, the oracles and the analysis are imported by the
@@ -54,11 +56,18 @@ _MIN_TRIALS_PER_JOB = 50
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems with exit code 1."""
+    """ArgumentParser that exits 1 on a usage problem and writes through _to_stdout and _to_stderr."""
 
     def error(self, message):
         _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}")
         raise SystemExit(EXIT_USAGE)
+
+    def _print_message(self, message, file=None):
+        # help and usage go to stdout, flushed so a failed write surfaces in main
+        if file is sys.stdout:
+            _to_stdout(message, flush=True)
+        elif message:
+            _to_stderr(message.rstrip("\n"))
 
 
 class _StdoutError(Exception):
@@ -337,12 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    # every command writes its results to stdout
-    if sys.stdout is None:
-        _to_stderr("rllindel: error: standard output is closed")
-        return EXIT_STREAM
     try:
+        # every command writes its results to stdout, and --help its text
+        if sys.stdout is None:
+            _to_stderr("rllindel: error: standard output is closed")
+            return EXIT_STREAM
+        args = parser.parse_args(argv)
         status = args.func(args)
         # a reader that left or a full disk must fail this flush, not the one at exit
         _to_stdout("", flush=True)

@@ -14,13 +14,14 @@ so every coefficient step a_(i+1) - a_i from i = r_hat+2 on is 1; the decoder
 relies on this. It also makes the weighted sum cheap on long words: with the
 word packed one bit per symbol into an int, the affine part weighs
 (2^r_hat - r_hat - 1) times its ones plus the sum of its 0-based indices,
-and that index sum is sum_t 2^t * popcount(word & M_t), where the cached mask
-M_t marks the indices with bit t set. That is ceil(log2 n) ANDs and popcounts
-in place of one pass over n coefficients (_sliced_sum), and it reads only the
-r_hat + 2 head coefficients. _weight is the codec's one weighted sum: below
-the measured crossover of 200 symbols it makes the plain pass over a full
-coefficient table, from there on it takes the sliced sum, so no word of
-_SLICED_FROM symbols or more builds a table of its own length.
+and that index sum is sum_t 2^t * popcount(word & M_t), where the mask M_t
+marks the indices with bit t set (cached for at most _MASK_SETS lengths).
+That is ceil(log2 n) ANDs and popcounts in place of one pass over n
+coefficients (_sliced_sum), and it reads only the r_hat + 2 head
+coefficients. _weight is the codec's one weighted sum: below the measured
+crossover of 200 symbols it makes the plain pass over a full coefficient
+table, from there on it takes the sliced sum, so no word of _SLICED_FROM
+symbols or more builds a table of its own length.
 
 Strict monotonicity of the coefficients is what makes a single insertion or
 deletion uniquely reversible (see decoder). The encoder embeds a run-length-
@@ -63,6 +64,11 @@ from .front import _message, _nrzi_encode, _wi_encode
 # pack, but at n = 161 the two still cost about the same (2.05 us for the
 # pass, 2.21 us for the sliced sum), so one crossover serves every caller.
 _SLICED_FROM = 200
+
+# The most mask sets _index_masks keeps, one per word length: the lengths
+# n - 1, n and n + 1 that decoding weighs, for four codes in use at once. One
+# set at n = 10^6 holds about 2.3 MiB, so the cache must not grow per length.
+_MASK_SETS = 12
 
 
 class CodeParams(namedtuple("CodeParams", "k r_hat r d b m n modulus")):
@@ -169,7 +175,7 @@ def _coefficients(n: int, r_hat: int, d: int) -> tuple[int, ...]:
     return tuple(coefficient_value(i, r_hat, d) for i in range(1, n + 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MASK_SETS)
 def _index_masks(length: int) -> tuple[int, ...]:
     """Mask t holds, in the packed layout, every index i < length with bit t set."""
     return tuple(

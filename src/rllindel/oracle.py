@@ -5,6 +5,13 @@ enumeration rather than by trusting a derivation. Guards are hard caps with
 explicit errors: an "exhaustive" verdict must mean exhaustive, so oversized
 requests fail instead of silently sampling.
 
+The exhaustive suites take their words from one generator, _words: every
+n-symbol word as bytes, one byte per symbol, in lexicographic order. A word's
+weighted sum is one compress pass over the coefficient table, as code._weight
+makes it below its crossover. The sidc check enumerates each code length
+once and splits the words by residue, whether it checks every residue or
+only one.
+
 Report is the one report type of the verification layer; the gap-condition
 sweep in analysis returns it too. It renders as two text lines: a
 human-readable `CHECK <name> <params> PASS|FAIL [counterexample]` line and a
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from itertools import compress, product
 
 from .bitseq import BitSeq, is_rll, is_zero_constrained, le_encode
 from .channel import Stream, apply_event, log_line, random_event, trial_seed
@@ -103,29 +111,33 @@ def enumerate_rll(n: int, r: int) -> list[BitSeq]:
     return out
 
 
+def _words(n: int):
+    """Every n-symbol word as bytes, one byte per symbol, in lexicographic order."""
+    return map(bytes, product((0, 1), repeat=n))
+
+
+def _codes(params: CodeParams, residues) -> dict[int, list[BitSeq]]:
+    """Each residue's length-n codewords, lexicographically, from one pass over all words."""
+    n = params.n
+    if n > _ENUM_CAP:
+        raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
+    coeffs = _coefficients(n, params.r_hat, params.d)
+    modulus = params.modulus
+    codes = {residue: [] for residue in residues}
+    for word in _words(n):
+        code = codes.get(sum(compress(coeffs, word)) % modulus)
+        if code is not None:
+            code.append(BitSeq._wrap(word))
+    return codes
+
+
 def enumerate_codewords(params: CodeParams) -> list[BitSeq]:
     """All length-n words whose weighted sum hits the residue, lexicographically.
 
     Takes a CodeParams from derive_params or, for code lengths below the
     encoder minimum, from raw_params.
     """
-    n = params.n
-    if n > _ENUM_CAP:
-        raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
-    coeffs = _coefficients(n, params.r_hat, params.d)
-    weights = [coeffs[n - 1 - j] for j in range(n)]
-    b, modulus = params.b, params.modulus
-    out: list[BitSeq] = []
-    for mask in range(1 << n):
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            total += weights[low.bit_length() - 1]
-            rest ^= low
-        if total % modulus == b:
-            out.append(le_encode(mask, n)[::-1])  # most significant symbol first
-    return out
+    return _codes(params, [params.b])[params.b]
 
 
 def deletion_balls_disjoint(words) -> tuple[bool, tuple[BitSeq, BitSeq] | None]:
@@ -146,42 +158,34 @@ def deletion_balls_disjoint(words) -> tuple[bool, tuple[BitSeq, BitSeq] | None]:
     return True, None
 
 
-def _check_sidc_cap(n: int) -> None:
-    if n > _SIDC_CAP:
-        raise ValidationError(f"ball-disjointness check is capped at n = {_SIDC_CAP} (got n={n})")
-
-
 def check_sidc(n: int, r_hat: int, d: int, b: int) -> bool:
     """True iff the single-deletion balls of all distinct codewords are disjoint."""
-    _check_sidc_cap(n)
-    ok, _ = deletion_balls_disjoint(enumerate_codewords(raw_params(n, r_hat, d, b)))
-    return ok
+    return check_sidc_range(n, n, r_hat, d, b)[0].passed
 
 
 def check_sidc_range(n_min: int, n_max: int, r_hat: int, d: int, b: int | None = None) -> list[Report]:
     """One sidc report per code length n_min..n_max, over every residue or only b.
 
-    An n_max above the cap is rejected before any length is enumerated.
+    Each length's words are enumerated once and split by residue. An n_max
+    above the cap is rejected before any length is enumerated.
     """
-    _check_sidc_cap(n_max)
+    if n_max > _SIDC_CAP:
+        raise ValidationError(
+            f"ball-disjointness check is capped at n = {_SIDC_CAP} (got n={n_max})"
+        )
     reports = []
     for n in range(n_min, n_max + 1):
-        modulus = raw_params(n, r_hat, d, 0).modulus
-        residues = range(modulus) if b is None else [b]
-        failures = 0
-        counterexample = None
-        for residue in residues:
-            if not check_sidc(n, r_hat, d, residue):
-                failures += 1
-                if counterexample is None:
-                    counterexample = f"b={residue}"
+        params = raw_params(n, r_hat, d, 0 if b is None else b)
+        residues = range(params.modulus) if b is None else [b]
+        codes = _codes(params, residues)
+        failed = [residue for residue in residues if not deletion_balls_disjoint(codes[residue])[0]]
         reports.append(
             Report(
                 name="sidc",
                 params={"n": n, "r_hat": r_hat, "d": d, "b": "all" if b is None else b},
-                passed=failures == 0,
-                counterexample=counterexample,
-                stats={"residues": len(residues), "failures": failures},
+                passed=not failed,
+                counterexample=f"b={failed[0]}" if failed else None,
+                stats={"residues": len(residues), "failures": len(failed)},
             )
         )
     return reports
@@ -275,8 +279,8 @@ def check_front_roundtrip(k: int, r: int) -> Report:
     counterexample = None
     seen: dict[BitSeq, BitSeq] = {}
     total = 1 << (k - 1)
-    for mask in range(total):
-        u = le_encode(mask, k - 1)[::-1]  # most significant symbol first
+    for data in _words(k - 1):
+        u = BitSeq._wrap(data)
         x = wi_encode(u, fp)
         problem = None
         if len(x) != k:

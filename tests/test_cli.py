@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, streaming behavior, and exit codes."""
+import argparse
 import errno
 import io
 import os
@@ -289,6 +290,9 @@ EVERY_COMMAND = {
     "corrupt": (("corrupt", "--seed", "1"), f"{CODEWORD}\n"),
     "verify": (("verify", "front-roundtrip", "--k", "10", "--r", "4"), None),
     "analyze": (("analyze", "redundancy", "--n-min", "14", "--n-max", "15"), None),
+    "help": (("--help",), None),
+    "encode-help": (("encode", "--help"), None),
+    "verify-help": (("verify", "--help"), None),
 }
 
 
@@ -411,6 +415,18 @@ class TestStreamFailures:
             os.close(write_end)
         assert result.returncode == 1
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("args", [("--help",), ("encode", "--help"), ("verify", "sidc", "--help")])
+    def test_help_to_a_working_stdout(self, args, monkeypatch):
+        # the text is argparse's own help, at the width the child sees too
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser()
+        for name in args[:-1]:
+            [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            parser = commands.choices[name]
+        result = run(*args)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == parser.format_help()
 
     @pytest.mark.parametrize("fault", sorted(STREAM_FAULTS))
     @pytest.mark.parametrize("command", sorted(EVERY_COMMAND))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rllindel.bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, is_rll
 from rllindel.code import (
+    _MASK_SETS,
     _SLICED_FROM,
     CodeParams,
     _coefficients,
@@ -245,6 +246,26 @@ class TestSlicedSum:
         assert peak < 8 * cp.n
         assert weight == sum(coefficient_value(i, cp.r_hat, cp.d) for i in range(1, cp.n + 1))
 
+    def test_mask_cache_stays_bounded(self):
+        # one encode and three decodes (intact, one deletion, one insertion) at
+        # 40 long lengths weigh 120 word lengths; the cache keeps at most
+        # _MASK_SETS mask sets, and a code in use keeps its three lengths cached
+        _index_masks.cache_clear()
+        rng = random.Random(40)
+        for k in range(200, 4200, 100):
+            cp = derive_params(k, 13)
+            u = BitSeq(bytes(rng.getrandbits(1) for _ in range(k - 1)))
+            z = encode_message(u, k, 13)
+            received = (z, z[:7] + z[8:], z[:7] + BitSeq([1 - z[7]]) + z[7:])
+            for word in received:
+                assert decode_message(cp, word) == u
+            misses = _index_masks.cache_info().misses
+            for word in received:
+                assert decode_message(cp, word) == u
+            assert _index_masks.cache_info().misses == misses
+            assert _index_masks.cache_info().currsize <= _MASK_SETS
+        assert _index_masks.cache_info().maxsize == _MASK_SETS
+
 
 class TestParity:
     def test_example_both_passes(self):
@@ -414,4 +435,22 @@ def test_golden_codeword_digest(k, r, p_one, count, digest):
     for _ in range(count):
         u = BitSeq(bytes(rng.random() < p_one for _ in range(k - 1)))
         h.update(str(encode_message(u, k, r)).encode() + b"\n")
+    assert h.hexdigest() == digest
+
+
+# as GOLDEN, at a weight d below the default and a nonzero residue b
+GOLDEN_AT_D_AND_B = [
+    (14, 4, 6, 9, 500, "b85cc04976eafcd56ddf8f0c2ba07ad76ca27b4d88dcc23a8942e7121f634eaf"),
+    (60, 6, 17, 100, 500, "99e223affab7e9af8c16bb6d16001e8d48a3e73b43518a75b2de26aeea490878"),
+    (250, 8, 65, 311, 200, "93265a6e3d2693efeebe6aa33c9e1c89d2a6990af321f4ae00ff9bfcc57906a1"),
+]
+
+
+@pytest.mark.parametrize("k, r, d, b, count, digest", GOLDEN_AT_D_AND_B)
+def test_golden_codeword_digest_at_d_and_b(k, r, d, b, count, digest):
+    rng = random.Random(f"golden {k} {r} {d} {b}")
+    h = hashlib.sha256()
+    for _ in range(count):
+        u = BitSeq(bytes(rng.random() < 0.5 for _ in range(k - 1)))
+        h.update(str(encode_message(u, k, r, d, b)).encode() + b"\n")
     assert h.hexdigest() == digest

@@ -107,10 +107,10 @@ class TestDeletionBalls:
             check_sidc(17, 4, 6, 0)
 
     def test_range_guard_comes_before_any_enumeration(self, monkeypatch):
-        def enumerated(params):
-            raise AssertionError(f"enumerated n={params.n} before the cap check")
+        def enumerated(n):
+            raise AssertionError(f"enumerated n={n} before the cap check")
 
-        monkeypatch.setattr(oracle, "enumerate_codewords", enumerated)
+        monkeypatch.setattr(oracle, "_words", enumerated)
         with pytest.raises(ValidationError) as excinfo:
             check_sidc_range(16, 17, 4, 6)
         assert str(excinfo.value) == "ball-disjointness check is capped at n = 16 (got n=17)"
@@ -130,6 +130,42 @@ class TestDeletionBalls:
             "CHECK sidc n=10 r_hat=4 d=6 b=3 PASS",
             "check=sidc n=10 r_hat=4 d=6 b=3 result=pass residues=1 failures=0",
         ]
+
+    @pytest.mark.parametrize("table", ["code", "constant"])
+    def test_range_matches_one_enumeration_per_residue(self, table, monkeypatch):
+        # the range splits one enumeration by residue; each verdict must be
+        # the one a separate enumeration of that residue's code gives. Under
+        # constant coefficients a code is a set of equal-weight words, which
+        # a deletion can confuse, so most residues FAIL
+        if table == "constant":
+            monkeypatch.setattr(oracle, "_coefficients", lambda n, r_hat, d: (1,) * (n + 1))
+        verdicts = []
+        for n in range(9, 13):
+            modulus = raw_params(n, 4, 6).modulus
+            coeffs = oracle._coefficients(n, 4, 6)
+            words = [BitSeq(format(mask, f"0{n}b")) for mask in range(1 << n)]
+            weights = [sum(a * s for a, s in zip(coeffs, w)) for w in words]
+            ok = []
+            for b in range(modulus):
+                code = enumerate_codewords(raw_params(n, 4, 6, b))
+                assert code == [w for w, weight in zip(words, weights) if weight % modulus == b]
+                ok.append(deletion_balls_disjoint(code)[0])
+            failed = [b for b in range(modulus) if not ok[b]]
+            [report] = check_sidc_range(n, n, 4, 6)
+            verdict = "FAIL" if failed else "PASS"
+            assert report.lines() == [
+                f"CHECK sidc n={n} r_hat=4 d=6 b=all {verdict}"
+                + (f" b={failed[0]}" if failed else ""),
+                f"check=sidc n={n} r_hat=4 d=6 b=all result={verdict.lower()} "
+                f"residues={modulus} failures={len(failed)}",
+            ]
+            for b in range(modulus):
+                [report] = check_sidc_range(n, n, 4, 6, b)
+                assert (report.passed, report.counterexample) == (ok[b], None if ok[b] else f"b={b}")
+                assert report.stats == {"residues": 1, "failures": 0 if ok[b] else 1}
+                assert check_sidc(n, 4, 6, b) == ok[b]
+            verdicts += ok
+        assert (True in verdicts, False in verdicts) == (True, table == "constant")
 
 
 class TestEncoderRll:
