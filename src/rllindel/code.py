@@ -289,15 +289,15 @@ def _embed(cp: CodeParams, y: bytes) -> bytes:
         raise DataError(f"message part violates the run-length limit r={r}")
     p_m = y[0] ^ 1
     sigma = _weight(cp, bytes(cp.m) + y)
-    p = _parity(cp, 0, p_m, sigma)
-    if zeros in p or ones in p:
-        p = _parity(cp, 1, p_m, sigma)
-        if zeros in p or ones in p:
-            raise InvariantError(
-                f"fallback parity still violates the run-length limit at "
-                f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
-            )
-    return p + y
+    # the first draft fixes position r_hat to 0, the fallback flips it to 1
+    for p_rhat in (0, 1):
+        p = _parity(cp, p_rhat, p_m, sigma)
+        if zeros not in p and ones not in p:
+            return p + y
+    raise InvariantError(
+        f"fallback parity still violates the run-length limit at "
+        f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
+    )
 
 
 def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:

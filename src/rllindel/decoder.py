@@ -9,14 +9,18 @@ code corrects codewords, not edit positions. Two surviving candidates that are
 distinct words would contradict the monotonicity guarantee and raise
 InvariantError.
 
-The search is closed-form rather than a scan of every edit. Pack the received
+The search is closed-form rather than a scan of every edit, and one search
+serves both edit directions, as the reference scan does. Pack the received
 word one bit per symbol, take its weight S from code._weight (which chooses
-how to sum and, on long words, reuses that int) and work modulo M = a_(n+1). A
-codeword one edit away differs from S by E = (b - S) mod M for an insertion,
-or by -E with E = (S - b) mod M for a deletion. An edit at (1-based) position
-i changes the weight by the edited symbol's own coefficient a_i, plus, for
-each 1 after the edit, the step a_(j+1) - a_j it crosses when it shifts one
-place:
+how to sum and, on long words, reuses that int) and work modulo M = a_(n+1).
+A word that gained a symbol (length n + 1) needs a deletion that removes
+E = (S - b) mod M; a word that lost one (length n - 1) needs an insertion
+that adds E = (b - S) mod M. An edit at (1-based) position i weighs the
+edited symbol's own coefficient a_i, plus, for each 1 after the edit, the
+step a_(j+1) - a_j it crosses when it shifts one place. The directions
+differ only in where the shifted suffix starts (after the removed symbol, or
+at the symbol the insertion lands before), so at each position both symbols
+meet the same two conditions, and every hit is one (index, symbol) edit:
 
 * Head, i < r_hat + 2. These r_hat + 1 positions are the only ones whose
   shifted suffix crosses a step other than 1, so each is tried directly,
@@ -30,12 +34,20 @@ place:
   word packed one bit per symbol: O(log n) Python steps, each a shift and a
   popcount.
 
+The words are built once, from the edit list: a gained word drops the symbol
+at the edit's index where it is the edit's symbol, and a lost word takes the
+symbol back in before that index.
+
 The congruence pins the change only modulo M, so each condition is an
 equality once the change's range is known. A removed 1 can weigh anything in
 [0, M], inclusive: removing the last symbol of a word whose final run of ones
-reaches the end removes exactly a_(n+1) = M. So the deletion branch tries
-both E and E + M for a removed 1. An inserted or removed 0 and an inserted 1
-always change the weight by less than M.
+reaches the end removes exactly a_(n+1) = M. So a gained word also tries
+E + M for a removed 1. An inserted or removed 0 and an inserted 1 always
+change the weight by less than M, so a lost word never does.
+
+The head must fit inside the word, so the search serves code lengths
+n >= r_hat + 2, every encoder code among them (n >= 14); below that it
+raises ValidationError, which only a raw_params code can reach.
 
 A correction costs one O(n) C-level pack of the word, O(log n) big-int ANDs,
 shifts and popcounts, and O(r_hat + log n) Python steps. The plain O(n) scan
@@ -50,8 +62,11 @@ from __future__ import annotations
 
 from .bitseq import _TO_ASCII, BitSeq
 from .code import CodeParams, _coefficients, _weight
-from .errors import DataError, InvariantError, UncorrectableError
+from .errors import DataError, InvariantError, UncorrectableError, ValidationError
 from .front import _nrzi_decode, _wi_decode
+
+# the inserted symbol as bytes, by its value
+_SYMBOLS = (b"\x00", b"\x01")
 
 
 def _count_before(packed: int, length: int, symbol: int, j: int) -> int:
@@ -73,55 +88,42 @@ def _first(packed: int, length: int, symbol: int, target: int, lo: int, hi: int)
 
 def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
     """All codewords one insertion or deletion away from data (length n-1 or n+1)."""
+    # 0-based index lo is position r_hat + 2, the first of the affine region
+    lo = cp.r_hat + 1
+    if cp.n <= lo:
+        raise ValidationError(f"correction needs n >= r_hat + 2 = {lo + 1} (got n={cp.n})")
     # the head coefficients a_1 .. a_(r_hat+2); the steps after them are all 1
-    coeffs = _coefficients(cp.r_hat + 1, cp.r_hat, cp.d)
+    coeffs = _coefficients(lo, cp.r_hat, cp.d)
     modulus = cp.modulus
     length = len(data)
+    gained = length == cp.n + 1
     # one bit per symbol: a shift and a popcount then count the ones of any
     # prefix without a data-dependent branch per symbol
     packed = int(data.translate(_TO_ASCII), 2)
     weight = _weight(cp, data, packed)
     ones = packed.bit_count()
-    # 0-based index lo is position r_hat + 2; from there on coeffs[p] = base + p
-    lo = cp.r_hat + 1
-    base = coeffs[lo] - lo
-    out: set[bytes] = set()
-    if length == cp.n - 1:
-        added = (cp.b - weight) % modulus
-        # shift: weight gained by the symbols from index p on moving one place right
-        shift = ones - _count_before(packed, length, 1, lo)
-        for p in range(lo - 1, -1, -1):
-            shift += (coeffs[p + 1] - coeffs[p]) * data[p]
-            if shift % modulus == added:
-                out.add(data[:p] + b"\x00" + data[p:])
-            if (shift + coeffs[p]) % modulus == added:
-                out.add(data[:p] + b"\x01" + data[p:])
-        # a 0 inserted at p gains the ones right of it
-        p = _first(packed, length, 1, ones - added, lo, length)
-        if p >= 0:
-            out.add(data[:p] + b"\x00" + data[p:])
-        # a 1 inserted at p gains base + p plus the ones right of it
-        p = _first(packed, length, 0, added - base - ones, lo, length)
-        if p >= 0:
-            out.add(data[:p] + b"\x01" + data[p:])
-    else:
-        removed = (weight - cp.b) % modulus
-        # shift: weight lost by the symbols after index p moving one place left
-        shift = ones - _count_before(packed, length, 1, lo + 1)
-        for p in range(lo - 1, -1, -1):
-            shift += (coeffs[p + 1] - coeffs[p]) * data[p + 1]
-            if (shift + coeffs[p] * data[p]) % modulus == removed:
-                out.add(data[:p] + data[p + 1 :])
-        # a 0 removed at p loses the ones right of it
-        p = _first(packed, length, 1, ones - removed, lo, length - 1)
-        if p >= 0 and not data[p]:
-            out.add(data[:p] + data[p + 1 :])
-        # a 1 removed at p loses base + p plus the ones right of it, a value in [0, M]
-        for lost in (removed, removed + modulus):
-            p = _first(packed, length, 0, lost - base + 1 - ones, lo, length - 1)
-            if p >= 0 and data[p]:
-                out.add(data[:p] + data[p + 1 :])
-    return out
+    # the weight the edit removes (gained) or adds (lost), modulo M
+    edit = (weight - cp.b if gained else cp.b - weight) % modulus
+    # (index, symbol): the symbol removed at index p, or inserted before it
+    edits = []
+    # shift: weight the symbols after the edit lose (gained) or gain (lost) moving one place
+    shift = ones - _count_before(packed, length, 1, lo + gained)
+    for p in range(lo - 1, -1, -1):
+        shift += (coeffs[p + 1] - coeffs[p]) * data[p + gained]
+        if shift % modulus == edit:
+            edits.append((p, 0))
+        if (shift + coeffs[p]) % modulus == edit:
+            edits.append((p, 1))
+    # the affine region, p = -1 where no run fits: a 0 at p moves the ones after
+    # it; a 1 also weighs coeffs[lo] + p - lo, so the zeros before it fix p
+    edits.append((_first(packed, length, 1, ones - edit, lo, length - gained), 0))
+    zeros = edit - coeffs[lo] + lo + gained - ones
+    edits.append((_first(packed, length, 0, zeros, lo, length - gained), 1))
+    if gained:
+        # a removed 1 weighs up to M inclusive, which the congruence sees as 0
+        edits.append((_first(packed, length, 0, zeros + modulus, lo, length - 1), 1))
+        return {data[:p] + data[p + 1 :] for p, symbol in edits if p >= 0 and data[p] == symbol}
+    return {data[:p] + _SYMBOLS[symbol] + data[p:] for p, symbol in edits if p >= 0}
 
 
 def _correct(cp: CodeParams, data: bytes) -> bytes:

@@ -6,11 +6,13 @@ explicit errors: an "exhaustive" verdict must mean exhaustive, so oversized
 requests fail instead of silently sampling.
 
 The exhaustive suites take their words from one generator, _words: every
-n-symbol word as bytes, one byte per symbol, in lexicographic order. A word's
-weighted sum is one compress pass over the coefficient table, as code._weight
-makes it below its crossover. The sidc check enumerates each code length
-once and splits the words by residue, whether it checks every residue or
-only one.
+n-symbol word as bytes, one byte per symbol, in lexicographic order.
+enumerate_rll is a filter over it that keeps the words without a run longer
+than r, so it keeps that order and, like the other suites, walks all 2^n
+words under the one enumeration cap. A word's weighted sum is one compress
+pass over the coefficient table, as code._weight makes it below its
+crossover. The sidc check enumerates each code length once and splits the
+words by residue, whether it checks every residue or only one.
 
 Report is the one report type of the verification layer; the gap-condition
 sweep in analysis returns it too. It renders as two text lines: a
@@ -33,7 +35,7 @@ import hashlib
 import os
 from itertools import compress, product
 
-from .bitseq import BitSeq, is_rll, is_zero_constrained, le_encode
+from .bitseq import BitSeq, _run_patterns, is_rll, is_zero_constrained, le_encode
 from .channel import Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
     CodeParams,
@@ -86,34 +88,20 @@ class Report:
         return "\n".join(self.lines()) + "\n"
 
 
+def _words(n: int):
+    """Every n-symbol word as bytes, one byte per symbol, in lexicographic order."""
+    return map(bytes, product((0, 1), repeat=n))
+
+
 def enumerate_rll(n: int, r: int) -> list[BitSeq]:
     """All length-n words with maximum run-length <= r, in lexicographic order."""
     if n < 1:
         raise ValidationError(f"length must be positive (got n={n})")
-    if r < 1:
-        raise ValidationError(f"run limit must be positive (got r={r})")
+    # _run_patterns rejects r < 1
+    zeros, ones = _run_patterns(r)
     if n > _ENUM_CAP:
         raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
-    out: list[BitSeq] = []
-    buf = bytearray(n)
-
-    def extend(i: int, prev: int, run: int) -> None:
-        if i == n:
-            out.append(BitSeq._wrap(bytes(buf)))
-            return
-        for symbol in (0, 1):
-            if symbol == prev and run == r:
-                continue
-            buf[i] = symbol
-            extend(i + 1, symbol, run + 1 if symbol == prev else 1)
-
-    extend(0, -1, 0)
-    return out
-
-
-def _words(n: int):
-    """Every n-symbol word as bytes, one byte per symbol, in lexicographic order."""
-    return map(bytes, product((0, 1), repeat=n))
+    return [BitSeq._wrap(word) for word in _words(n) if zeros not in word and ones not in word]
 
 
 def _codes(params: CodeParams, residues) -> dict[int, list[BitSeq]]:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from rllindel.bitseq import BitSeq
 from rllindel.channel import DELETION, INSERTION, ChannelEvent, apply_event, random_event
-from rllindel.code import d_range, derive_params, embed_encode, encode_message
+from rllindel.code import d_range, derive_params, embed_encode, encode_message, raw_params
 from rllindel.decoder import candidates, correct, decode_message
-from rllindel.errors import DataError, UncorrectableError
+from rllindel.errors import DataError, UncorrectableError, ValidationError
 from rllindel.front import FrontParams, front_encode
 from rllindel.oracle import enumerate_codewords
 
@@ -51,6 +51,19 @@ class TestCorrect:
         cp = derive_params(14, 4, d=6, b=3)
         with pytest.raises(UncorrectableError, match="no candidate"):
             correct(cp, BitSeq("0" * 20))
+
+    @pytest.mark.parametrize("r_hat", [4, 5])
+    def test_codes_shorter_than_the_head_reject_indels(self, r_hat):
+        # the locator's head spans r_hat + 1 symbols, so it serves n >= r_hat + 2
+        for n in range(1, r_hat + 2):
+            cp = raw_params(n, r_hat, d_range(r_hat)[0])
+            for length in (n - 1, n + 1):
+                with pytest.raises(
+                    ValidationError, match=rf"n >= r_hat \+ 2 = {r_hat + 2} \(got n={n}\)"
+                ):
+                    correct(cp, BitSeq("0" * length))
+            # an intact word never reaches the locator
+            assert correct(cp, BitSeq("0" * n)) == BitSeq("0" * n)
 
 
 class TestDecodeMessage:
@@ -149,6 +162,15 @@ class TestLocatorMatchesReference:
                 found = reference_candidates(cp, data)
                 assert found == explains.get(data, set())
                 assert candidates(cp, data) == found
+
+    @pytest.mark.parametrize("n", range(6, 14))
+    def test_all_words_one_symbol_off_below_the_encoder_minimum(self, n):
+        # raw codes from the shortest the locator serves, n = r_hat + 2, up to
+        # just below the encoder's n = 14
+        cp = raw_params(n, 4, d=6, b=5)
+        for length in (n - 1, n + 1):
+            for word in product((0, 1), repeat=length):
+                _check_against_reference(cp, bytes(word))
 
     def test_removed_weight_can_equal_the_modulus(self):
         # removing the final 1 of a trailing run of ones removes a_(n+1) = M,
