@@ -194,9 +194,14 @@ def gap_condition_check(r_hat: int) -> Report:
     )
 
 
+CSV_HEADER = "n,r_hat,redundancy,phi,gap\n"
+
+
+def csv_line(row: AnalysisRow) -> str:
+    """One analysis row as a CSV line with six decimal places and an LF ending."""
+    return f"{row.n},{row.r_hat},{row.redundancy},{row.phi:.6f},{row.gap:.6f}\n"
+
+
 def emit_csv(rows: list[AnalysisRow]) -> str:
     """Render analysis rows as CSV with six decimal places and LF endings."""
-    lines = ["n,r_hat,redundancy,phi,gap"]
-    for row in rows:
-        lines.append(f"{row.n},{row.r_hat},{row.redundancy},{row.phi:.6f},{row.gap:.6f}")
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "".join(map(csv_line, rows))

@@ -15,7 +15,9 @@ from collections.abc import Iterable, Iterator
 from .errors import DataError, ValidationError
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+# '0' and '1' become the symbols, and the text bytes 0 and 1 become '0' and
+# '1', which are no symbols, so _from_text rejects them as it does any other
+_FROM_ASCII = bytes.maketrans(b"01\x00\x01", b"\x00\x0101")
 
 
 class BitSeq:

@@ -48,11 +48,6 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 _CAMPAIGN_TRIALS = 1000
-# Fewest trials worth a forked campaign job. Forking, piping and reaping one
-# child cost 2.4-4.0 ms on a 2-vCPU host (Python 3.11.7), the time of 40-52
-# trials at the cheapest parameters (k = 7 to 60, 64-82 us a trial); a k = 4000
-# trial (380-400 us) pays for a fork in 7-9.
-_MIN_TRIALS_PER_JOB = 50
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,34 +203,23 @@ def _verify_gap_condition(args) -> int:
     return _emit_reports([gap_condition_check(args.rhat)])
 
 
-def _campaign_jobs(trials: int) -> int:
-    """One job per usable CPU, but none with fewer than _MIN_TRIALS_PER_JOB trials."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), max(1, trials // _MIN_TRIALS_PER_JOB))
-
-
 def _verify_campaign(args) -> int:
     from .oracle import check_channel_campaign
 
-    report = check_channel_campaign(
-        args.k,
-        args.r,
-        _CAMPAIGN_TRIALS,
-        args.seed,
-        args.d,
-        args.b,
-        jobs=_campaign_jobs(_CAMPAIGN_TRIALS),
-    )
+    report = check_channel_campaign(args.k, args.r, _CAMPAIGN_TRIALS, args.seed, args.d, args.b)
     return _emit_reports([report])
 
 
 def _cmd_analyze(args) -> int:
-    from .analysis import emit_csv, redundancy_row
+    from .analysis import CSV_HEADER, csv_line, redundancy_row
 
     _check_range(args)
-    rows = [redundancy_row(n) for n in range(args.n_min, args.n_max + 1)]
-    _to_stdout(emit_csv(rows))
+    # one write per row, as it is computed; the first row, computed before
+    # any write, rejects a range below the band
+    rows = map(redundancy_row, range(args.n_min, args.n_max + 1))
+    _to_stdout(CSV_HEADER + csv_line(next(rows)))
+    for row in rows:
+        _to_stdout(csv_line(row))
     return EXIT_OK
 
 

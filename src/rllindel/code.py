@@ -121,7 +121,9 @@ def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) ->
     argument tuple; a rejection is not cached, so it is raised again on every
     call with the same text.
 
-    This is the pipeline's only range check. r >= r_hat gives
+    This is the pipeline's only range check. It admits r_hat <= r <= n: a
+    limit above the code length cannot bind, and the codec builds patterns
+    of r symbols. r >= r_hat gives
     k <= 2^r - 2, within the front end's range: k <= 2^r + r - 5 for r <= 4
     and k <= 2^r + r - 7 for r >= 5. Of the two lengths at r <= 4 where
     the front end's decoder confirms its parse by re-encoding, 2^r + r - 6
@@ -136,6 +138,8 @@ def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) ->
         _check_d(d, r_hat)
     if r < r_hat:
         raise ValidationError(f"run limit r={r} is below r_hat={r_hat}")
+    if r > k + r_hat + 3:
+        raise ValidationError(f"run limit r={r} exceeds the code length n={k + r_hat + 3}")
     if (k, r, d) == (14, 4, 5):
         raise ValidationError(
             "(k, r, d) = (14, 4, 5) is excluded: the parity fallback cannot "

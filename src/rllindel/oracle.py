@@ -21,18 +21,21 @@ machine-readable `key=value` summary line. The counterexample is printed
 whenever it is set: the suites here set it only when they fail, the sweep
 also to the collision it expects.
 
-The channel campaign can split its trials into contiguous index blocks and
-run them in forked child processes at once. Every trial seeds itself from
-(base seed, index), and the parent joins the blocks' results in index order,
-so the report, digest included, is the same however many blocks run. If any
-block yields no result, all trials run once more serially in this process,
-which raises or reports exactly as a serial run; there is no other failure
-path.
+The channel campaign picks its own job count: one per usable CPU, but none
+with fewer than _MIN_TRIALS_PER_JOB trials, and one where os.fork or
+os.sched_getaffinity is missing or another thread runs. It splits its trials
+into that many contiguous index blocks and runs all but the last in forked
+child processes at once. Every trial seeds itself from (base seed, index),
+and the parent joins the blocks' results in index order, so the report,
+digest included, is the same however many blocks run. If any block yields
+no result, all trials run once more serially in this process, which raises
+or reports exactly as a serial run; there is no other failure path.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from itertools import compress, product
 
 from .bitseq import BitSeq, _run_patterns, is_rll, is_zero_constrained, le_encode
@@ -56,6 +59,11 @@ DEFAULT_SAMPLE_SEED = 0x1D5EED
 _ENUM_CAP = 24
 _SIDC_CAP = 16
 _ROUNDTRIP_CAP = 15
+# Fewest trials worth a forked campaign job. Forking, piping and reaping one
+# child cost 2.4-4.0 ms on a 2-vCPU host (Python 3.11.7), the time of 40-52
+# trials at the cheapest parameters (k = 7 to 60, 64-82 us a trial); a k = 4000
+# trial (380-400 us) pays for a fork in 7-9.
+_MIN_TRIALS_PER_JOB = 50
 
 
 class Report:
@@ -304,7 +312,6 @@ def check_channel_campaign(
     base_seed: int,
     d: int | None = None,
     b: int | None = None,
-    jobs: int = 1,
 ) -> Report:
     """Seeded end-to-end trials: encode, corrupt with one random indel, decode.
 
@@ -313,24 +320,23 @@ def check_channel_campaign(
     The report digest hashes every event-log line and outcome in trial order,
     so two runs with equal arguments must render byte-identically.
 
-    jobs > 1 splits the trial indices into that many contiguous blocks and
-    runs every block but the last in a child forked with os.fork (POSIX
-    only; call it from a process without other threads), the last in this
+    The trial indices are split into _jobs(trials) contiguous blocks; every
+    block but the last runs in a child forked with os.fork, the last in this
     process. The blocks' log text is hashed in index order, their failures
     summed and the lowest-index counterexample kept, so the report is the
-    same for every jobs. If any block yields no result (its child failed or
-    never started, or the last block raised), every trial runs once more
-    serially in this process, which raises or reports exactly as jobs=1.
+    same for every job count. If any block yields no result (its child
+    failed or never started, or the last block raised), every trial runs
+    once more serially in this process, which raises or reports exactly as
+    a single job.
     """
-    if jobs < 1:
-        raise ValidationError(f"jobs must be at least 1 (got jobs={jobs})")
     cp = derive_params(k, r, d, b)
+    jobs = _jobs(trials)
     bounds = [(trials * j // jobs, trials * (j + 1) // jobs) for j in range(jobs)]
     digest = hashlib.sha256()
     failures = 0
     counterexample = None
     blocks = _campaign_blocks(cp, base_seed, bounds) if jobs > 1 else None
-    # jobs=1, or a block gave no result: every trial runs here, as one serial block
+    # one job, or a block gave no result: every trial runs here, as one serial block
     for text, block_failures, first in blocks or [_campaign_block(cp, base_seed, 0, trials)]:
         digest.update(text.encode())
         failures += block_failures
@@ -342,6 +348,19 @@ def check_channel_campaign(
         counterexample=counterexample,
         stats={"trials": trials, "failures": failures, "digest": digest.hexdigest()},
     )
+
+
+def _jobs(trials: int) -> int:
+    """One job per usable CPU, but none with fewer than _MIN_TRIALS_PER_JOB trials.
+
+    One job where os.fork or os.sched_getaffinity is missing, or where
+    another thread runs: a forked child holds only the forking thread.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), max(1, trials // _MIN_TRIALS_PER_JOB))
 
 
 def _campaign_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
@@ -369,38 +388,37 @@ def _campaign_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
 def _campaign_blocks(cp: CodeParams, base_seed: int, bounds: list):
     """_campaign_block over each (lo, hi) of bounds, in order; all but the last run forked.
 
-    None if any block yields no result: its child failed or never started, or it raised here.
+    None if any block yields no result: its child failed or could not start, or it raised here.
     """
-    pending = []  # (pid, pipe read end), or None where no child started, in block order
+    pending = []  # (pid, pipe read end) of each started child, in block order
     try:
         for lo, hi in bounds[:-1]:
             pending.append(_fork_block(cp, base_seed, lo, hi))
         last = _campaign_block(cp, base_seed, *bounds[-1])
         results = []
         while pending:
-            child = pending.pop(0)
-            results.append(child and _collect(*child))
+            results.append(_collect(*pending.pop(0)))
     except Exception:  # the caller's serial rerun raises it again
         return None
     finally:
-        for child in filter(None, pending):
-            os.close(child[1])
-            os.waitpid(child[0], 0)
+        for pid, fd in pending:
+            os.close(fd)
+            os.waitpid(pid, 0)
     return None if None in results else results + [last]
 
 
 def _fork_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
-    """(pid, pipe read end) of a child running _campaign_block(lo, hi), or None if none started."""
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
+    """(pid, pipe read end) of a child running _campaign_block(lo, hi).
+
+    A failed os.pipe or os.fork raises, after the pipe it opened is closed.
+    """
+    rfd, wfd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(rfd)
         os.close(wfd)
-        return None
+        raise
     if pid == 0:
         status = 1
         try:

@@ -40,6 +40,20 @@ class TestBitSeq:
             BitSeq.parse("012")
         assert str(from_constructor.value) == str(from_parse.value)
 
+    @pytest.mark.parametrize("text, position", [("\x00", 1), ("\x01", 1), ("01\x010", 3)])
+    def test_text_bytes_0_and_1_are_no_symbols(self, text, position):
+        for build in (BitSeq.parse, BitSeq):
+            with pytest.raises(DataError) as excinfo:
+                build(text)
+            assert str(excinfo.value) == (
+                f"invalid character {text[position - 1]!r} at position {position}"
+            )
+
+    def test_raw_bytes_name_the_first_foreign_symbol(self):
+        with pytest.raises(DataError) as excinfo:
+            BitSeq(b"\x00\x02")
+        assert str(excinfo.value) == "symbol at position 2 is 2, expected 0 or 1"
+
     def test_indexing_and_slicing(self):
         s = BitSeq("10110")
         assert s[0] == 1 and s[1] == 0

@@ -3,8 +3,11 @@ import argparse
 import errno
 import io
 import os
+import resource
+import select
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rllindel import cli
+from rllindel.analysis import emit_csv, redundancy_row
 
 CMD = [sys.executable, "-m", "rllindel"]
 # the codeword of the message 010011000101 at k = 13, r = 4
@@ -90,6 +94,20 @@ class TestEncodeDecode:
         assert result.returncode == 3
         assert result.stderr.startswith("ERROR 1 ")
         assert len(result.stdout.splitlines()) == 1
+
+    def test_text_bytes_0_and_1_are_invalid_characters(self):
+        # read as symbols they would encode as 010011000101 does
+        result = run(
+            "encode", "--k", "13", "--r", "4",
+            stdin="\x00\x01\x00\x00\x01\x01\x00\x00\x00\x01\x00\x01\n01001\x01000101\n",
+        )
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr == (
+            "ERROR 1 invalid character '\\x00' at position 1\n"
+            "ERROR 2 invalid character '\\x01' at position 6\n"
+        )
+        assert _main(["encode", "--k", "13", "--r", "4"], "01001\x01000101\n") == 3
 
     def test_pipeline_round_trip_at_k14_r4(self):
         # the front end's top length at r = 4; 1010001100001 is one of the
@@ -467,6 +485,43 @@ class TestAnalyze:
         assert lines[1] == "14,4,8,3.700616,4.299384"
         assert len(lines) == 88
 
+    def test_rows_are_the_text_of_emit_csv(self):
+        result = run("analyze", "redundancy", "--n-min", "14", "--n-max", "300")
+        assert result.returncode == 0
+        assert result.stdout == emit_csv([redundancy_row(n) for n in range(14, 301)])
+
+    def test_rows_are_written_as_they_are_computed(self):
+        # a table built before its first write would take hours and far more
+        # memory than the host has; the child is killed if the lines are late,
+        # and its address space is capped at 512 MB
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = subprocess.Popen(
+            CMD + ["analyze", "redundancy", "--n-min", "14", "--n-max", "1000000000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=cap_memory,
+        )
+        deadline = time.monotonic() + 10
+        try:
+            head = b""
+            fd = proc.stdout.fileno()
+            while head.count(b"\n") < 2:
+                if not select.select([fd], [], [], max(0, deadline - time.monotonic()))[0]:
+                    break
+                chunk = os.read(fd, 4096)
+                if not chunk:
+                    break
+                head += chunk
+            proc.stdout.close()
+            status = proc.wait(timeout=max(0, deadline - time.monotonic()))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert head.split(b"\n")[:2] == [b"n,r_hat,redundancy,phi,gap", b"14,4,8,3.700616,4.299384"]
+        assert status == 1
+        assert proc.stderr.read() == b""
+
     def test_below_band_exits_2(self):
         result = run("analyze", "redundancy", "--n-min", "10", "--n-max", "20")
         assert result.returncode == 2
@@ -522,6 +577,13 @@ BAD_PARAMETERS = [
     ("verify gap-condition --rhat 13", "sweep supports 4 <= r_hat <= 12 (got 13)"),
     ("verify campaign --k 6 --r 4 --seed 1", "message-part length must be at least 7 (got k=6)"),
     ("verify campaign --k 13 --r 4 --b 999 --seed 1", "residue b=999 is outside [0, 30]"),
+    # no command builds a run pattern before the limit is checked against n
+    *(
+        (f"{command} --k 13 --r {10**22}", f"run limit r={10**22} exceeds the code length n=20")
+        for command in (
+            "params", "encode", "decode --raw", "verify encoder-rll", "verify campaign --seed 1"
+        )
+    ),
     ("analyze redundancy --n-min 3 --n-max 20", "blocklength must be at least 14 (got n=3)"),
     ("analyze redundancy --n-min 20 --n-max 14", "--n-min 20 exceeds --n-max 14"),
 ]

@@ -60,6 +60,15 @@ class TestDeriveParams:
         with pytest.raises(ValidationError, match="r_hat"):
             derive_params(14, 3)
 
+    def test_rejects_r_above_n(self):
+        # r = n is the largest limit that can bind
+        assert derive_params(13, 20).n == 20
+        with pytest.raises(ValidationError) as excinfo:
+            derive_params(13, 21)
+        assert str(excinfo.value) == "run limit r=21 exceeds the code length n=20"
+        with pytest.raises(ValidationError, match="exceeds the code length n=20"):
+            derive_params(13, 10**22)
+
     def test_rejects_d_outside_range(self):
         with pytest.raises(ValidationError):
             derive_params(14, 4, d=4)

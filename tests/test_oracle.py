@@ -1,5 +1,6 @@
 """Brute-force oracles: enumeration, disjointness, and the report format."""
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,31 @@ class TestEncoderRll:
         with pytest.raises(ValidationError):
             check_encoder_rll(6, 4)
 
+    @pytest.mark.parametrize("kind", ["run-limit", "membership"])
+    @pytest.mark.parametrize("k, r, d, sampled", [(7, 4, 6, {}), (14, 4, 7, {"trials": 400})])
+    def test_broken_embedder_fails(self, kind, k, r, d, sampled, monkeypatch):
+        # every fourth residue gets a word that breaks the run limit (a run
+        # of r + 1 zeros up front) or a run-limited codeword of the next residue
+        embed = oracle.embed_encode
+        bad = []
+
+        def broken(cp, y):
+            if cp.b % 4 != 1:
+                return embed(cp, y)
+            bad.append(f"y={y} b={cp.b} {kind}")
+            if kind == "run-limit":
+                return BitSeq([0] * (cp.r + 1)) + embed(cp, y)[cp.r + 1 :]
+            return embed(cp._replace(b=(cp.b + 1) % cp.modulus), y)
+
+        monkeypatch.setattr(oracle, "embed_encode", broken)
+        report = check_encoder_rll(k, r, d, **sampled)
+        if not sampled:
+            assert len(bad) == len(enumerate_rll(k, r)) * 6  # b = 1, 5, ..., 21 of 25
+        assert not report.passed
+        assert report.stats["violations"] == len(bad) > 0
+        assert report.counterexample == bad[0]
+        assert report.lines()[0] == f"CHECK encoder-rll k={k} r={r} d={d} FAIL {bad[0]}"
+
 
 class TestFrontRoundtrip:
     def test_passes_in_safe_zone(self):
@@ -206,6 +232,50 @@ class TestFrontRoundtrip:
         report = check_front_roundtrip(k, r)
         assert report.passed
         assert report.stats == {"messages": 1 << (k - 1), "failures": 0}
+
+    @pytest.mark.parametrize(
+        "fault", ["length", "zero-run", "collision", "roundtrip-mismatch", "decode-error"]
+    )
+    def test_broken_front_end_fails(self, fault, monkeypatch):
+        # every message ending in 1 meets the fault: the encoder drops the
+        # last symbol, puts 0^r up front, or repeats the previous message's
+        # word; the decoder flips the last symbol or raises
+        encode, decode = oracle.wi_encode, oracle.wi_decode
+        bad = []
+
+        def broken_encode(u, fp):
+            x = encode(u, fp)
+            if not u[-1] or fault not in ("length", "zero-run", "collision"):
+                return x
+            if fault == "length":
+                x, problem = x[:-1], fault
+            elif fault == "zero-run":
+                x, problem = BitSeq([0] * fp.r) + x[fp.r :], fault
+            else:
+                previous = u[:-1] + BitSeq("0")
+                x, problem = encode(previous, fp), f"collision-with u={previous}"
+            bad.append(f"u={u} x={x} {problem}")
+            return x
+
+        def broken_decode(x, fp):
+            u = decode(x, fp)
+            if not u[-1]:
+                return u
+            if fault == "decode-error":
+                bad.append(f"u={u} x={x} decode-error (injected)")
+                raise DataError("injected")
+            bad.append(f"u={u} x={x} roundtrip-mismatch")
+            return u[:-1] + BitSeq("0")
+
+        monkeypatch.setattr(oracle, "wi_encode", broken_encode)
+        if fault in ("roundtrip-mismatch", "decode-error"):
+            monkeypatch.setattr(oracle, "wi_decode", broken_decode)
+        report = check_front_roundtrip(10, 4)
+        assert len(bad) == 256
+        assert not report.passed
+        assert report.stats == {"messages": 512, "failures": 256}
+        assert report.counterexample == bad[0]
+        assert report.lines()[0] == f"CHECK front-roundtrip k=10 r=4 FAIL {bad[0]}"
 
     def test_cap(self):
         assert check_front_roundtrip(14, 5).passed
@@ -258,18 +328,25 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def campaign(monkeypatch, jobs, *args):
+    """check_channel_campaign(*args) split into `jobs` blocks; the test's other patches stay."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_jobs", lambda trials: jobs)
+        return check_channel_campaign(*args)
+
+
 class TestShardedCampaign:
-    """jobs > 1 forks contiguous trial blocks; the report must not depend on jobs."""
+    """More than one job forks contiguous trial blocks; the report must not depend on the count."""
 
     @pytest.mark.parametrize("trials", [0, 1, 2, 301])
-    def test_render_is_the_same_for_every_jobs(self, trials):
-        serial = check_channel_campaign(13, 4, trials, 9, jobs=1).render()
+    def test_render_is_the_same_for_every_jobs(self, trials, monkeypatch):
+        serial = campaign(monkeypatch, 1, 13, 4, trials, 9).render()
         for jobs in (2, 3):
-            assert check_channel_campaign(13, 4, trials, 9, jobs=jobs).render() == serial
+            assert campaign(monkeypatch, jobs, 13, 4, trials, 9).render() == serial
             assert_no_child_left()
 
     def test_failures_straddling_block_boundaries(self, monkeypatch):
-        # 301 trials split at 150 (jobs=2) and at 100 and 200 (jobs=3)
+        # 301 trials split at 150 (two jobs) and at 100 and 200 (three)
         bad = {trial_words(60, 6, 4, i)[1]: i for i in (99, 100, 149, 150, 200)}
         decode = oracle.decode_message
 
@@ -282,11 +359,11 @@ class TestShardedCampaign:
             return decode(cp, received)[::-1]
 
         monkeypatch.setattr(oracle, "decode_message", faulty)
-        serial = check_channel_campaign(60, 6, 301, 4)
+        serial = campaign(monkeypatch, 1, 60, 6, 301, 4)
         assert serial.stats["failures"] == 5
         assert serial.counterexample.startswith("trial=99 ")
         for jobs in (2, 3):
-            report = check_channel_campaign(60, 6, 301, 4, jobs=jobs)
+            report = campaign(monkeypatch, jobs, 60, 6, 301, 4)
             assert_no_child_left()
             assert report.stats["failures"] == serial.stats["failures"]
             assert report.counterexample == serial.counterexample
@@ -306,25 +383,33 @@ class TestShardedCampaign:
 
         monkeypatch.setattr(oracle, "encode_message", faulty)
         with pytest.raises(InvariantError) as serial:
-            check_channel_campaign(60, 6, 301, 4)
+            campaign(monkeypatch, 1, 60, 6, 301, 4)
         assert str(serial.value) == "injected at trial 150"
         for jobs in (2, 3):
             with pytest.raises(InvariantError) as sharded:
-                check_channel_campaign(60, 6, 301, 4, jobs=jobs)
+                campaign(monkeypatch, jobs, 60, 6, 301, 4)
             assert_no_child_left()
             assert str(sharded.value) == str(serial.value)
 
     def test_block_whose_fork_fails_runs_here(self, monkeypatch):
-        serial = check_channel_campaign(13, 4, 301, 9).render()
+        serial = campaign(monkeypatch, 1, 13, 4, 301, 9).render()
+        forks = []
 
-        def no_fork():
-            raise BlockingIOError("fork refused")
+        def second_fork_fails():
+            # the first block's child starts, the second's does not
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork refused")
+            return fork()
 
-        monkeypatch.setattr(oracle.os, "fork", no_fork)
-        assert check_channel_campaign(13, 4, 301, 9, jobs=3).render() == serial
+        fork = oracle.os.fork
+        monkeypatch.setattr(oracle.os, "fork", second_fork_fails)
+        assert campaign(monkeypatch, 3, 13, 4, 301, 9).render() == serial
+        assert len(forks) == 2
+        assert_no_child_left()
 
     def test_child_that_exits_without_a_result(self, monkeypatch):
-        serial = check_channel_campaign(13, 4, 301, 9).render()
+        serial = campaign(monkeypatch, 1, 13, 4, 301, 9).render()
         block = oracle._campaign_block
         parent = os.getpid()
 
@@ -335,12 +420,48 @@ class TestShardedCampaign:
 
         monkeypatch.setattr(oracle, "_campaign_block", dies_in_a_child)
         for jobs in (2, 3):
-            assert check_channel_campaign(13, 4, 301, 9, jobs=jobs).render() == serial
+            assert campaign(monkeypatch, jobs, 13, 4, 301, 9).render() == serial
             assert_no_child_left()
 
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValidationError):
-            check_channel_campaign(13, 4, 10, 1, jobs=0)
+
+class TestJobs:
+    """The campaign's own job count: one per usable CPU, at least _MIN_TRIALS_PER_JOB trials each."""
+
+    @pytest.mark.parametrize(
+        "cpus, trials, jobs",
+        [(4, 1000, 4), (4, 199, 3), (4, 100, 2), (4, 99, 1), (4, 0, 1), (1, 1000, 1), (64, 1000, 20)],
+    )
+    def test_one_job_per_cpu_but_none_below_the_minimum(self, cpus, trials, jobs, monkeypatch):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert oracle._MIN_TRIALS_PER_JOB == 50
+        assert oracle._jobs(trials) == jobs
+
+    def test_one_job_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(4)))
+        assert oracle._jobs(1000) == 4
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert oracle._jobs(1000) == 1
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert oracle._jobs(1000) == 4
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_job_without_fork_or_affinity(self, missing, monkeypatch):
+        if missing == "fork":
+            monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.delattr(oracle.os, missing)
+        assert oracle._jobs(1000) == 1
+
+    def test_report_matches_a_single_job(self, monkeypatch):
+        # the default job count, whatever this host gives, renders as one job does
+        serial = campaign(monkeypatch, 1, 30, 5, 1000, 424242).render()
+        assert check_channel_campaign(30, 5, 1000, 424242).render() == serial
+        assert_no_child_left()
 
 
 class TestRandomWord:
