@@ -39,7 +39,13 @@ once, weighs the message part once, and lays out each m-symbol parity draft
 with one format of its little-endian value, p_rhat and p_m shifted into
 place. Only the public functions check lengths and build a BitSeq, one per
 call; encode_message chains the front end's bytes functions into _embed and
-wraps once.
+wraps once. Where the word is packed: below _SLICED_FROM symbols nowhere on
+the encode path, as _weight takes the bytes. From _SLICED_FROM on,
+encode_message packs the front end's word once, one bit per symbol, and
+front._nrzi_packed runs NRZI on that int and unpacks it once for the run
+checks and the output; _embed hands the same int to _weight, since m zero
+parity symbols ahead of y leave y's packing unchanged. The public
+embed_encode still lets _weight pack the message part itself.
 
 One CodeParams type describes every code. Its unchecked constructor is the
 only place that derives m = r_hat + 3, n = m + k and the modulus a_(n+1),
@@ -55,7 +61,7 @@ from itertools import compress
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_patterns, le_encode
 from .errors import DataError, InvariantError, ValidationError
-from .front import _message, _nrzi_encode, _wi_encode
+from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 
 # The word length from which _sliced_sum, with the word's packing counted,
 # beats one compress pass over the coefficients. Measured with timeit on one
@@ -98,6 +104,14 @@ def d_range(r_hat: int) -> tuple[int, int]:
 
 
 def _check_d(d: int, r_hat: int) -> None:
+    # every d in range has r_hat - 1 bits, so an r_hat more than one above
+    # d's bit length is rejected without building 2^r_hat, which can be too
+    # large to hold or to print
+    if r_hat - 2 > d.bit_length():
+        raise ValidationError(
+            f"free coefficient d={d} is outside [2^{r_hat - 2} + 1, 2^{r_hat - 1} - 1] "
+            f"for r_hat={r_hat}"
+        )
     d_lo, d_hi = d_range(r_hat)
     if not d_lo <= d <= d_hi:
         raise ValidationError(
@@ -285,14 +299,18 @@ def parity_word(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
     return BitSeq._wrap(_parity(cp, p_rhat, p_m, _sigma(cp, y)))
 
 
-def _embed(cp: CodeParams, y: bytes) -> bytes:
-    """embed_encode on raw bytes, after its length check: the codeword's symbols."""
+def _embed(cp: CodeParams, y: bytes, packed: int | None = None) -> bytes:
+    """embed_encode on raw bytes, after its length check: the codeword's symbols.
+
+    packed, if given, is y packed one bit per symbol, which is also the
+    packing of the m zero parity symbols and y that _weight takes.
+    """
     r = cp.r
     zeros, ones = _run_patterns(r)
     if zeros in y or ones in y:
         raise DataError(f"message part violates the run-length limit r={r}")
     p_m = y[0] ^ 1
-    sigma = _weight(cp, bytes(cp.m) + y)
+    sigma = _weight(cp, bytes(cp.m) + y, packed)
     # the first draft fixes position r_hat to 0, the fallback flips it to 1
     for p_rhat in (0, 1):
         p = _parity(cp, p_rhat, p_m, sigma)
@@ -322,7 +340,11 @@ def encode_message(u: BitSeq, k: int, r: int, d: int | None = None, b: int | Non
     """Full pipeline: message of length k-1 to codeword of length n = k + r_hat + 3."""
     cp = derive_params(k, r, d, b)
     # _wi_encode checks that its output, the message part, has length k
-    return BitSeq._wrap(_embed(cp, _nrzi_encode(_wi_encode(_message(u, k), k, r))))
+    x = _wi_encode(_message(u, k), k, r)
+    if cp.n < _SLICED_FROM:
+        return BitSeq._wrap(_embed(cp, _nrzi_encode(x)))
+    # from here on _weight takes a packed word: NRZI packs it once for both
+    return BitSeq._wrap(_embed(cp, *_nrzi_packed(x)))
 
 
 def params_text(cp: CodeParams) -> str:

@@ -264,12 +264,19 @@ def check_front_roundtrip(k: int, r: int) -> Report:
     """Exhaustively round-trip every message through the replacement front-end.
 
     Asserts output length, the zero-run constraint, pairwise distinctness, and
-    decode-encode identity over all 2^(k-1) messages.
+    decode-encode identity over all 2^(k-1) messages. k is capped at
+    _ROUNDTRIP_CAP and r one above it.
     """
     fp = FrontParams(k, r)
     if k > _ROUNDTRIP_CAP:
         raise ValidationError(
             f"exhaustive round-trip check is capped at k = {_ROUNDTRIP_CAP} (got k={k})"
+        )
+    # no run limit above the top k plus one binds, and the front end builds
+    # patterns of r symbols
+    if r > _ROUNDTRIP_CAP + 1:
+        raise ValidationError(
+            f"exhaustive round-trip check is capped at r = {_ROUNDTRIP_CAP + 1} (got r={r})"
         )
     failures = 0
     counterexample = None

@@ -559,11 +559,20 @@ BAD_PARAMETERS = [
         "k=31 with r=5 is rejected: for r >= 5 the front end accepts k <= 2^r + r - 7 = 30, "
         "as at 2^r + r - 6 and 2^r + r - 5 the encoder is not injective",
     ),
+    (
+        f"verify front-roundtrip --k 13 --r {10**22}",
+        f"exhaustive round-trip check is capped at r = 16 (got r={10**22})",
+    ),
     ("verify front-roundtrip --k 5 --r 1", "run limit must be at least 3 (got r=1)"),
     ("verify front-roundtrip --k 3 --r 2", "run limit must be at least 3 (got r=2)"),
     (
         "verify sidc --n-min 16 --n-max 17 --rhat 4 --d 6",
         "ball-disjointness check is capped at n = 16 (got n=17)",
+    ),
+    (
+        f"verify sidc --n-min 1 --n-max 5 --rhat {10**20} --d 5",
+        f"free coefficient d=5 is outside [2^{10**20 - 2} + 1, 2^{10**20 - 1} - 1] "
+        f"for r_hat={10**20}",
     ),
     ("verify sidc --n-min 5 --n-max 3 --rhat 4 --d 6", "--n-min 5 exceeds --n-max 3"),
     (

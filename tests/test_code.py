@@ -31,6 +31,7 @@ from rllindel.code import (
 )
 from rllindel.decoder import decode_message
 from rllindel.errors import DataError, InvariantError, ValidationError
+from rllindel.front import FrontParams, nrzi_encode, wi_encode
 
 from reference import reference_parity_word
 
@@ -144,6 +145,21 @@ class TestWeightedSum:
             raw_params(10, 4, 4, 0)
         with pytest.raises(ValidationError):
             raw_params(10, 4, 6, 21)
+
+    def test_d_checked_without_building_2_to_the_r_hat(self):
+        # an r_hat more than one above d's bit length names the range by its
+        # powers of two; one within it keeps the numbers
+        with pytest.raises(ValidationError) as excinfo:
+            raw_params(5, 10**20, 5)
+        assert str(excinfo.value) == (
+            f"free coefficient d=5 is outside [2^{10**20 - 2} + 1, 2^{10**20 - 1} - 1] "
+            f"for r_hat={10**20}"
+        )
+        with pytest.raises(ValidationError, match=r"outside \[2\^3 \+ 1, 2\^4 - 1\]"):
+            raw_params(5, 5, 3)
+        with pytest.raises(ValidationError, match=r"outside \[9, 15\]"):
+            raw_params(5, 5, 4)
+        assert raw_params(5, 5, 9).d == 9
 
     def test_raw_params_short_lengths(self):
         # below n = r_hat + 1 the modulus a_(n+1) is not 2^r_hat + k + 2
@@ -384,6 +400,23 @@ class TestPipelineEncode:
             for i in range(cp.n):
                 assert decode_message(cp, z[:i] + z[i + 1 :]) == u
 
+    def test_long_word_is_packed_once(self):
+        # k = 10^6 at r = 20: NRZI and the weighted sum share one packed int,
+        # where packing NRZI's bytes a second time peaked at about 4.2 bytes a
+        # symbol; the first encode fills the mask and pointer caches
+        k, r = 10**6, 20
+        rng = random.Random(10**6)
+        u = BitSeq(format(rng.getrandbits(k - 1), f"0{k - 1}b").encode().translate(_FROM_ASCII))
+        encode_message(u, k, r)
+        tracemalloc.start()
+        try:
+            z = encode_message(u, k, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * k
+        assert z == embed_encode(derive_params(k, r), nrzi_encode(wi_encode(u, FrontParams(k, r))))
+
 
 def _raises_twice(call, *args, **kwargs) -> str:
     """Call twice; both calls must raise ValidationError with the same text, which is returned."""
@@ -433,6 +466,7 @@ GOLDEN = [
     (4000, 12, 1 / 16, 20, "bb2c92ced6578fd8c29ce0570eb9046c4e44132045bce0823df4a02d3c80c305"),
     (4000, 12, 1 / 2, 20, "c5e337e80c99326f4972852b044d966a67e676a6a62c93443c20f1944d376e9b"),
     (250, 8, 1 / 2, 200, "f874f67ce21787b899508cc6ed88ed5f1ef1c4867273e7719a3682e836606673"),
+    (189, 8, 1 / 2, 200, "397b86b535cd3c67890dd8b78c61ce9f8e583d80428851b2d4cfc6a348a6ad07"),
     (60, 6, 1 / 2, 500, "5a17c5141cdb4177f7a484ab63f5768e04abda1205e55b4a02141579b9ab3c80"),
 ]
 

@@ -74,6 +74,14 @@ class TestFrontParams:
             with pytest.raises(ValidationError, match="not injective"):
                 FrontParams(k, 5)
 
+    def test_run_limit_above_k(self):
+        # a limit above k's bit length cannot bind, so 2^r is not built for it
+        assert FrontParams(2, 8).r == 8
+        assert FrontParams(13, 10**22).r == 10**22
+        assert FrontParams(2**70, 72).r == 72
+        with pytest.raises(ValidationError, match="feasibility"):
+            FrontParams(2**70, 69)
+
     @pytest.mark.parametrize("k, r", [(5, 3), (6, 3), (14, 4), (15, 4)])
     def test_top_two_lengths_round_trip_up_to_r4(self, k, r):
         # the greedy count parse misparses some of these words; see the

@@ -9,8 +9,10 @@ from rllindel.code import coefficient_value, embed_encode, mu
 from rllindel.decoder import correct
 from rllindel.front import FrontParams, nrzi_decode, nrzi_encode, wi_decode, wi_encode
 
-# one (k, r) per band, at the smallest run limit the code accepts (r = r_hat)
-SHAPES = [(7, 4), (13, 4), (60, 6), (250, 8), (4000, 12)]
+# one (k, r) per band, at the smallest run limit the code accepts (r = r_hat),
+# and n = 199 and 200 on either side of the length from which encode_message
+# packs the word once for NRZI and the weighted sum
+SHAPES = [(7, 4), (13, 4), (60, 6), (188, 8), (189, 8), (250, 8), (4000, 12)]
 
 
 def cases(k: int, r: int, count: int):
