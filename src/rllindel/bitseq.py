@@ -120,16 +120,21 @@ def _check_symbols(data: bytes) -> None:
                 raise DataError(f"symbol at position {pos} is {value}, expected 0 or 1")
 
 
-def _run_patterns(r: int) -> tuple[bytes, bytes]:
-    """The two runs one longer than the limit r, 0^(r+1) and 1^(r+1)."""
+def _run_patterns(r: int, n: int) -> tuple[bytes, bytes]:
+    """The two runs one longer than the limit r, 0^(r+1) and 1^(r+1), for n-symbol words.
+
+    No limit of n or more binds an n-symbol word, so such an r is cut to n
+    and neither pattern grows past n + 1 symbols, whatever r is.
+    """
     if r < 1:
         raise ValidationError(f"run limit must be at least 1 (got r={r})")
+    r = r if r < n else n
     return b"\x00" * (r + 1), b"\x01" * (r + 1)
 
 
 def is_rll(s: BitSeq, r: int) -> bool:
     """True iff no run in s is longer than r."""
-    zeros, ones = _run_patterns(r)
+    zeros, ones = _run_patterns(r, len(s._data))
     return zeros not in s._data and ones not in s._data
 
 
@@ -137,7 +142,8 @@ def is_zero_constrained(s: BitSeq, r: int) -> bool:
     """True iff every run of zeros in s is shorter than r (ones unconstrained)."""
     if r < 2:
         raise ValidationError(f"run limit must be at least 2 (got r={r})")
-    return b"\x00" * r not in s._data
+    # no word holds a zero run longer than itself, so a larger r is cut
+    return b"\x00" * min(r, len(s._data) + 1) not in s._data
 
 
 def le_encode(x: int, k: int) -> BitSeq:

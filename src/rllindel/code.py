@@ -306,7 +306,7 @@ def _embed(cp: CodeParams, y: bytes, packed: int | None = None) -> bytes:
     packing of the m zero parity symbols and y that _weight takes.
     """
     r = cp.r
-    zeros, ones = _run_patterns(r)
+    zeros, ones = _run_patterns(r, cp.n)
     if zeros in y or ones in y:
         raise DataError(f"message part violates the run-length limit r={r}")
     p_m = y[0] ^ 1

@@ -9,59 +9,69 @@ runs < r maps to a word with all runs <= r.
 
 Encoding bookkeeping: each replacement shrinks the working word by exactly one
 symbol, so after s replacements the working word has k-1-s symbols and the
-output x = v 1 tail(s) has length k exactly. Two replacement cases exist. In
-the regular case the forbidden word sits wholly inside the working word; its
-r+1 symbols are removed and the r-symbol pointer le_encode(p+3, r) is appended
-(the +3 keeps pointer values >= 4). In the end case the working word ends in
-0^r and the forbidden word's trailing 1 is the appended sentinel; the r zeros
-are removed and the (r-1)-symbol marker 1 0^(r-2) is appended. Markers decode
-to values 2 or 3, pointers to values >= 4, so the decoder can always tell the
-two apart.
+output x = v 1 tail(s) has length k exactly. A replacement removes the first
+forbidden word's r+1 symbols and appends the r-symbol pointer le_encode(p+3, r),
+with p counted from 1 (the +3 keeps pointer values >= 4). The one other kind is
+the end case: the message holds no 0^r 1 but ends in 0^r, so the appended
+sentinel ends the forbidden word; the r zeros are removed and the
+(r-1)-symbol marker 1 0^(r-2) is appended. Markers decode to values 2 or 3,
+pointers to values >= 4, so the decoder can always tell the two apart.
 
-Encoding cost: one left-to-right scan, which never edits the message in
-place. It keeps the working word as three parts: head, a finished prefix that
-is empty or ends in a 1 and holds no forbidden word; c, a count of pending
-zeros; and rest, the unscanned symbols (the rest of the message, then the
-appended pointers and markers), with the sentinel implicitly after it. As
+The end case can only be the first replacement. After any replacement the
+working word ends in the last pointer or marker appended, and each holds a 1
+followed by at most r-2 zeros (a pointer's value is at least 4, so one of its
+top r-2 symbols is a 1). The working word can end in r zeros again only once
+a replacement removes that 1, and that replacement appends another pointer.
+So the sentinel can end a forbidden word only before the first replacement,
+and an end marker, where there is one, is the last step of the undo.
+
+Encoding cost: the end case, if the message meets it, is made first; then one
+left-to-right scan with one replacement kind, which never edits the message
+in place. It keeps the working word as three parts: head, a finished prefix
+that is empty or ends in a 1 and holds no forbidden word; c, a count of
+pending zeros; and rest, the unscanned symbols (the rest of the message, then
+the appended marker and pointers), with the sentinel implicitly after it. As
 head ends in a 1, no forbidden word starts in it, so the first forbidden word
 ends at the first 1 of rest whose zero run, c plus the zeros before it in
 rest, has length at least r. A replacement drops the run's last r zeros and
 that 1, leaves c = run - r, and appends the pointer for idx = len(head) + c to
-rest. When rest holds no 1 and the run reaches r, the sentinel ends the
-forbidden word: the end case appends the marker to rest, and a later
-replacement can take the marker's 1. A 1 that ends a shorter run is final:
-head takes the pending zeros and the scanned symbols, and one C-level find of
-0^r 1 in rest jumps to the next forbidden word. Every symbol of rest is
-searched and copied a bounded number of times, so s replacements cost
-O(k + s*r) C-level work and O(s) Python steps of a few integer operations
-each, with no memmove. Each pointer is built on its first use and kept in a
-bounded cache, so pointer work and memory follow s, not k. A message with no
-forbidden word and fewer than r trailing zeros returns at once with the
-sentinel appended.
+rest. A 1 that ends a shorter run is final: head takes the pending zeros and
+the scanned symbols, and one C-level find of 0^r 1 in rest jumps to the next
+forbidden word; the scan ends when there is none. rest always holds a 1 past
+the scan point (the forbidden word's, or the last pointer's or marker's), so
+the scan never reaches the sentinel. Every symbol of rest is searched and
+copied a bounded number of times, so s replacements cost O(k + s*r) C-level
+work and O(s) Python steps of a few integer operations each, with no memmove.
+Each pointer is built on its first use and kept in a bounded cache, so pointer
+work and memory follow s, not k. A message with no forbidden word and fewer
+than r trailing zeros returns at once with the sentinel appended.
 tests/reference.py keeps the restart-from-symbol-0 loop as the reference
 the tests compare this encoder against.
 
 Decoding cost: the undo runs the replacements backwards, each reading the
-pointer (or marker) off the word's end and putting 0^r 1 back where it
-names. The working word is kept as three parts: left, a bytearray that
-takes the insertions; right, a bytearray holding the symbols between left
-and the tail in reverse order; and the tail, an unread stretch of an
-immutable bytes, at first the received word. Each pointer is one slice off
-the tail's end, and its insertion index comes from a bounded memo, so an
-undo does no reversal, translate or int() once the memo is warm. An
-insertion point at most _NEAR symbols before left's end is filled in
-place; one further left moves the gap there, left's surplus going to
-right, and one right of left takes the symbols before it from right, then
-from the tail. When the tail runs out, the rest of the word (right and the
-tail, and a few symbols of left if they hold fewer than r) becomes the new
-tail, and an end marker does the same with r zeros in its place. The
+pointer off the word's end and putting 0^r 1 back where it names. The
+working word is kept as three parts: left, a bytearray that takes the
+insertions; right, a bytearray holding the symbols between left and the tail
+in reverse order; and the tail, an unread stretch of an immutable bytes, at
+first the received word. Each pointer is one slice off the tail's end, and
+its insertion index comes from a bounded memo, so an undo does no reversal,
+translate or int() once the memo is warm. An insertion point at most _NEAR
+symbols before left's end is filled in place; one further left moves the gap
+there, left's surplus going to right, and one right of left takes the symbols
+before it from right, then from the tail. When the tail runs out, the rest of
+the word (right and the tail, and a few symbols of left if they hold fewer
+than r) becomes the new tail. An end marker can only be the last undo, so
+there the word is returned with r zeros in the marker's place. At any earlier
+step a marker ends the undo at once with the next step's error, as those r
+zeros would read as pointer value 0, which is no pointer and no marker. The
 encoder always replaces the first forbidden word, so in undo order an
-insertion point lies at most r above the one before it: every symbol
-reaches right about once, each rebuilt tail is paid for by the symbols
-right gave it, and s undos of an emitted word move O(k + s*_NEAR) symbols
-in O(s) Python steps. tests/reference.py keeps the one-bytearray undo, which
-moves every symbol behind each insertion point, as the reference the tests
-compare this decoder against, bytes and error texts alike.
+insertion point lies at most r above the one before it: every symbol reaches
+right about once, each rebuilt tail is paid for by the symbols right gave it,
+and s undos of an emitted word move O(k + s*_NEAR) symbols in O(s) Python
+steps. tests/reference.py keeps the one-bytearray undo, which moves every
+symbol behind each insertion point and carries on past a marker, as the
+reference the tests compare this decoder against, bytes and error texts
+alike.
 
 Decodability bound: FrontParams accepts k <= 2^r + r - 5, the feasibility
 bound, for r <= 4, and k <= 2^r + r - 7 for r >= 5. For r >= 5 the encoder
@@ -76,8 +86,30 @@ block for some messages. So at those two lengths only, _wi_decode tries the
 greedy block count, then each smaller one, and keeps the first message that
 re-encodes to the word; an emitted word needs at most 4 tries (checked
 exhaustively) and never fails. Every other length takes the greedy parse
-alone; no collision and no parse failure has been seen there at an accepted
-length.
+alone, and for k <= 2^r + r - 7 it is exact at every r:
+1. The greedy parse misreads only if the r symbols before the count's
+   (1^(r-1) 0) blocks form one more block. A block holds one 0, at its end,
+   so those r symbols end at the count's leading zeros, and there is exactly
+   one such zero: s mod r = 1. They are then the working word's last r - 2
+   symbols, the sentinel 1 and that zero, so the working word must end in
+   r - 2 ones.
+2. With s >= 1 the working word ends in the last pointer or marker appended,
+   intact. A marker ends in a zero. A pointer is le_encode(p + 4, r) with p
+   counted from 0, and its forbidden word fits in a working word of at most
+   k - 1 symbols, so p <= k - r - 2. The pointer's top r - 2 symbols are all
+   ones only when p + 4 >= 2^r - 4, that is, when k >= 2^r + r - 6.
+3. So below that length the parse reads s exactly, and the undo, which tells
+   pointers from markers by value, inverts the encoder. At r >= 5 the two
+   rejected lengths are exactly those where a pointer can reach 2^r - 4: a
+   message x 0^r 1, with x ending in 1 and holding no run of r zeros, makes
+   one replacement with the largest pointer last, and at k = 2^r + r - 6
+   the parse misreads every such message (the tests see none of them
+   round-trip).
+
+Large r: no limit of k or more binds a message of k - 1 symbols, and none of
+k + 1 or more binds a word of k symbols. So _wi_encode cuts its zero pattern
+at k symbols and _wi_decode cuts r at k + 1; no pattern grows with r past the
+word, and the front end serves every r >= 3 that FrontParams accepts.
 
 Bytes inside: the private functions (_wi_encode, _wi_decode, _nrzi_encode,
 _nrzi_decode, _omega) take and return raw bytes, one byte per symbol. Only
@@ -213,22 +245,33 @@ _POINTER_INDEX = _PointerIndex()
 
 
 def _wi_encode(data: bytes, k: int, r: int) -> bytes:
-    zeros = b"\x00" * r
+    # k - 1 symbols hold no run of k zeros, so no larger limit binds
+    zeros = b"\x00" * (r if r < k else k)
     pattern = zeros + _FORBIDDEN_ONE
     q = data.find(pattern)
-    if q < 0 and not data.endswith(zeros):
-        # nothing to replace: the message, then the sentinel
-        out = data + _FORBIDDEN_ONE
+    s = 0
+    if q < 0 and data.endswith(zeros):
+        # the end case, which only the first replacement can be: the sentinel
+        # ends the forbidden word, and the last r zeros become the marker
+        # 1 0^(r-2)
+        data = data[:-r] + _FORBIDDEN_ONE + zeros[2:]
+        q = data.find(pattern)
+        s = 1
+    if q < 0:
+        # nothing (left) to replace: the count tail of s <= 1 is s zeros
+        out = data + _FORBIDDEN_ONE + bytes(s)
     else:
         # the working word is head + 0^c + rest[pos:], then the sentinel; the
         # symbols before the zero run of the first forbidden word are final
         rest = bytearray(data)
-        pos = rest.rfind(1, 0, q if q >= 0 else len(rest)) + 1
+        pos = rest.rfind(1, 0, q) + 1
         head = rest[:pos]
-        c = s = 0
+        c = 0
         while True:
+            # a 1 lies at or after pos: the forbidden word's, or one in the
+            # last pointer or marker appended
             j = rest.find(1, pos)
-            run = c + (j if j >= 0 else len(rest)) - pos
+            run = c + j - pos
             if run >= r:
                 if s >= k:
                     raise InvariantError(
@@ -236,27 +279,18 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
                         f"parameters must be rejected"
                     )
                 s += 1
-                # drop the run's last r zeros and the symbol that ends them;
-                # the forbidden word started at len(head) + c
+                # drop the run's last r zeros and the 1 that ends them; the
+                # forbidden word started at len(head) + c
                 c = run - r
-                if j >= 0:
-                    pos = j + 1
-                    rest += _pointer(len(head) + c + 4, r)
-                else:
-                    # end case: the sentinel ends the forbidden word; the
-                    # marker 1 0^(r-2) follows
-                    pos = len(rest)
-                    rest += _FORBIDDEN_ONE + zeros[2:]
+                pos = j + 1
+                rest += _pointer(len(head) + c + 4, r)
                 continue
-            if j < 0:
-                break
-            # the 1 at j ends a short run; stop if no forbidden word is left in
-            # rest and none ends on the sentinel
+            # the 1 at j ends a short run; stop if no forbidden word is left
             q = rest.find(pattern, j + 1)
-            if q < 0 and not rest.endswith(zeros):
+            if q < 0:
                 break
             # the symbols before the zero run of the next forbidden word are final
-            end = rest.rfind(1, j, q if q >= 0 else len(rest)) + 1
+            end = rest.rfind(1, j, q) + 1
             head += bytes(c)
             head += rest[pos:end]
             c = 0
@@ -268,6 +302,9 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
 
 
 def _wi_decode(data: bytes, k: int, r: int) -> bytes:
+    # k symbols hold no run of k + 1 zeros, so no larger limit binds
+    if r > k:
+        r = k + 1
     if b"\x00" * r in data:
         raise DataError(f"word violates the zero-run constraint for r={r}")
     block = b"\x01" * (r - 1) + b"\x00"
@@ -346,10 +383,12 @@ def _undo(data: bytes, i: int, r: int) -> bytes:
                 e = f
                 continue
         if e - t0 >= r - 1 and data.startswith(_FORBIDDEN_ONE + bytes(r - 2), e - r + 1, e):
-            # the end marker 1 0^(r-2) becomes r zeros
-            data = data[t0 : e - r + 1] + bytes(r)
-            t0, e = 0, len(data)
-            continue
+            # the end marker 1 0^(r-2) becomes r zeros; only the first
+            # replacement appends one, so it can only be the last undo
+            if step == 1:
+                return b"".join((left, right[::-1], data[t0 : e - r + 1], bytes(r)))
+            # before that, the next step would read those zeros as pointer value 0
+            step -= 1
         raise DataError(
             f"undo step {step}: trailing symbols match neither a valid pointer nor the end marker"
         )

@@ -106,7 +106,7 @@ def enumerate_rll(n: int, r: int) -> list[BitSeq]:
     if n < 1:
         raise ValidationError(f"length must be positive (got n={n})")
     # _run_patterns rejects r < 1
-    zeros, ones = _run_patterns(r)
+    zeros, ones = _run_patterns(r, n)
     if n > _ENUM_CAP:
         raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
     return [BitSeq._wrap(word) for word in _words(n) if zeros not in word and ones not in word]
@@ -265,18 +265,12 @@ def check_front_roundtrip(k: int, r: int) -> Report:
 
     Asserts output length, the zero-run constraint, pairwise distinctness, and
     decode-encode identity over all 2^(k-1) messages. k is capped at
-    _ROUNDTRIP_CAP and r one above it.
+    _ROUNDTRIP_CAP; r is not, as no limit above k binds.
     """
     fp = FrontParams(k, r)
     if k > _ROUNDTRIP_CAP:
         raise ValidationError(
             f"exhaustive round-trip check is capped at k = {_ROUNDTRIP_CAP} (got k={k})"
-        )
-    # no run limit above the top k plus one binds, and the front end builds
-    # patterns of r symbols
-    if r > _ROUNDTRIP_CAP + 1:
-        raise ValidationError(
-            f"exhaustive round-trip check is capped at r = {_ROUNDTRIP_CAP + 1} (got r={r})"
         )
     failures = 0
     counterexample = None

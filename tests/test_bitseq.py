@@ -94,6 +94,20 @@ class TestRunStatistics:
         with pytest.raises(ValidationError):
             is_rll(BitSeq("01"), 0)
 
+    def test_is_rll_at_a_limit_far_above_the_length(self):
+        # no run of a word is longer than the word, so no 10^22-symbol run
+        # pattern is built
+        assert is_rll(BitSeq("0101"), 10**22)
+        assert is_rll(BitSeq("0000"), 4)
+        assert not is_rll(BitSeq("0000"), 3)
+        assert is_rll(BitSeq(""), 5)
+
+    def test_is_zero_constrained_at_a_limit_far_above_the_length(self):
+        assert is_zero_constrained(BitSeq("0101"), 10**22)
+        assert is_zero_constrained(BitSeq("0000"), 5)
+        assert not is_zero_constrained(BitSeq("0000"), 4)
+        assert is_zero_constrained(BitSeq(""), 2)
+
     def test_is_zero_constrained_ignores_ones(self):
         assert is_zero_constrained(BitSeq("111111001"), 3)
         assert not is_zero_constrained(BitSeq("10001"), 3)

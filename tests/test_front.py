@@ -82,6 +82,21 @@ class TestFrontParams:
         with pytest.raises(ValidationError, match="feasibility"):
             FrontParams(2**70, 69)
 
+    def test_functions_at_a_limit_far_above_k(self):
+        # no limit of k or more binds, so no pattern of 10^22 symbols is built
+        fp = FrontParams(13, 10**22)
+        for message in ("0" * 12, "1" * 12, "010011000101"):
+            u = BitSeq(message)
+            x = wi_encode(u, fp)
+            assert x == u + BitSeq("1")
+            assert wi_decode(x, fp) == u
+            assert front_decode(front_encode(u, fp), fp) == u
+        assert wi_decode(BitSeq("0" * 12 + "1"), fp) == BitSeq("0" * 12)
+        with pytest.raises(DataError, match="sentinel"):
+            wi_decode(BitSeq("0" * 13), fp)
+        with pytest.raises(DataError, match="undo step 12"):
+            wi_decode(BitSeq("1" + "0" * 12), fp)
+
     @pytest.mark.parametrize("k, r", [(5, 3), (6, 3), (14, 4), (15, 4)])
     def test_top_two_lengths_round_trip_up_to_r4(self, k, r):
         # the greedy count parse misparses some of these words; see the
@@ -204,6 +219,54 @@ class TestReplacement:
             tracemalloc.stop()
         assert peak < 8 * k
         assert word == reference_wi_encode(data, k, r)
+
+
+def _largest_pointer_last(rng: random.Random, k: int, r: int) -> bytes:
+    """A message x 0^r 1 of k - 1 symbols, x ending in 1 with no run of r zeros.
+
+    Its one replacement appends the largest pointer any message of that length
+    can make, so the count parse meets it right before the sentinel.
+    """
+    x = bytearray(rng.getrandbits(1) for _ in range(k - r - 2))
+    x[-1] = 1
+    while (i := x.find(bytes(r))) >= 0:
+        x[i + r - 1] = 1
+    return bytes(x) + bytes(r) + b"\x01"
+
+
+class TestLargestPointerLast:
+    """The worst case of the greedy count parse, at and one past the top accepted length.
+
+    At k = 2^r + r - 7 the last pointer's top r - 2 symbols are not all ones,
+    so the parse reads the count exactly; at 2^r + r - 6 they are, and the
+    pointer, the sentinel and the one-symbol count spell one more count block.
+    """
+
+    @pytest.mark.parametrize("r", range(5, 15))
+    def test_top_accepted_length_matches_the_references(self, r):
+        k = (1 << r) + r - 7
+        fp = FrontParams(k, r)
+        rng = random.Random(f"largest pointer {r}")
+        for _ in range(50):
+            data = _largest_pointer_last(rng, k, r)
+            word = reference_wi_encode(data, k, r)
+            assert word[-r:] != b"\x01" * (r - 1) + b"\x00"
+            assert wi_encode(BitSeq._wrap(data), fp).tobytes() == word
+            assert wi_decode(BitSeq._wrap(word), fp).tobytes() == data
+            assert reference_wi_decode(word, k, r) == data
+
+    @pytest.mark.parametrize("r", range(5, 15))
+    def test_first_rejected_length_fails_to_round_trip(self, r):
+        # why FrontParams rejects this length: no message of this form round-trips
+        k = (1 << r) + r - 6
+        with pytest.raises(ValidationError, match="not injective"):
+            FrontParams(k, r)
+        rng = random.Random(f"largest pointer {r}")
+        for _ in range(50):
+            data = _largest_pointer_last(rng, k, r)
+            word = _wi_encode(data, k, r)
+            assert word[-r:] == b"\x01" * (r - 1) + b"\x00"
+            assert _undo(_wi_decode, word, k, r) != data
 
 
 class TestResumedSearchMatchesReference:

@@ -48,6 +48,10 @@ class TestEnumerateRll:
     def test_frozen_count(self):
         assert len(enumerate_rll(10, 4)) == frozen("rll_count_n10_r4")
 
+    def test_limit_far_above_the_length_keeps_every_word(self):
+        assert enumerate_rll(5, 10**22) == enumerate_rll(5, 5)
+        assert len(enumerate_rll(5, 10**22)) == 32
+
     def test_guards(self):
         with pytest.raises(ValidationError):
             enumerate_rll(25, 4)
