@@ -107,7 +107,8 @@ def _from_text(text: str) -> bytes:
 def _from_ints(bits: Iterable[int]) -> bytes:
     out = bytearray()
     for pos, bit in enumerate(bits, start=1):
-        if bit != 0 and bit != 1:
+        # 1.0 equals 1 but is no symbol: a symbol is an integer (bool included)
+        if bit != 0 and bit != 1 or not hasattr(bit, "__index__"):
             raise DataError(f"symbol at position {pos} is {bit!r}, expected 0 or 1")
         out.append(bit)
     return bytes(out)

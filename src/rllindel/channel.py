@@ -46,9 +46,14 @@ class Stream:
         return mix64(self._state)
 
     def below(self, bound: int) -> int:
-        """Uniform draw from [0, bound) via rejection sampling."""
+        """Uniform draw from [0, bound) via rejection sampling, for 1 <= bound <= 2^64.
+
+        One raw output has 64 bits, so no larger bound can be drawn uniformly.
+        """
         if bound < 1:
             raise ValidationError(f"bound must be positive (got {bound})")
+        if bound > 1 << 64:
+            raise ValidationError(f"bound must be at most 2^64 (got {bound})")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next()

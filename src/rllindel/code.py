@@ -135,13 +135,14 @@ def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) ->
     argument tuple; a rejection is not cached, so it is raised again on every
     call with the same text.
 
-    This is the pipeline's only range check. It admits r_hat <= r <= n: a
-    limit above the code length cannot bind, and the codec builds patterns
-    of r symbols. r >= r_hat gives
+    This is the pipeline's only range check. It admits r_hat <= r <= n. The
+    upper end only checks the argument's range: a limit above the code
+    length cannot bind, and the functions that test or build runs cut r at
+    their word length, so none of them needs it. r >= r_hat gives
     k <= 2^r - 2, within the front end's range: k <= 2^r + r - 5 for r <= 4
-    and k <= 2^r + r - 7 for r >= 5. Of the two lengths at r <= 4 where
-    the front end's decoder confirms its parse by re-encoding, 2^r + r - 6
-    and 2^r + r - 5, only (k, r) = (14, 4) is reached, with d = 6 or 7.
+    and k <= 2^r + r - 7 for r >= 5. Of the two lengths at r <= 4 where the
+    front end's decoder confirms its parse by re-encoding, 2^r + r - 6 and
+    2^r + r - 5, only (k, r) = (14, 4) is reached, with d = 6 or 7.
     """
     if k < 7:
         raise ValidationError(f"message-part length must be at least 7 (got k={k})")

@@ -25,11 +25,15 @@ The channel campaign picks its own job count: one per usable CPU, but none
 with fewer than _MIN_TRIALS_PER_JOB trials, and one where os.fork or
 os.sched_getaffinity is missing or another thread runs. It splits its trials
 into that many contiguous index blocks and runs all but the last in forked
-child processes at once. Every trial seeds itself from (base seed, index),
-and the parent joins the blocks' results in index order, so the report,
-digest included, is the same however many blocks run. If any block yields
-no result, all trials run once more serially in this process, which raises
-or reports exactly as a serial run; there is no other failure path.
+child processes at once. A block's one result is its trial log, a line
+`index kind position symbol outcome` per trial, and a child writes only
+that text to its pipe. Every trial seeds itself from (base seed, index),
+and the parent joins the blocks' logs in index order; the digest, the
+failure count (the lines whose outcome is 0) and the counterexample (the
+first failing trial, run again) are read off the joined log, so the report
+is the same however many blocks run. If any block yields no log, all
+trials run once more serially in this process, which raises or reports
+exactly as a serial run; there is no other failure path.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ import threading
 from itertools import compress, product
 
 from .bitseq import BitSeq, _run_patterns, is_rll, is_zero_constrained, le_encode
-from .channel import Stream, apply_event, log_line, random_event, trial_seed
+from .channel import ChannelEvent, Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
     CodeParams,
     _coefficients,
@@ -207,7 +211,10 @@ def check_encoder_rll(
     Exhaustive over all run-limited message parts and all residues for k <= 10;
     sampled with a fixed-seed stream otherwise. For the excluded parameter
     triple the run is sampled and the report simply states what was observed.
+    A negative trial count is rejected in either mode.
     """
+    if trials < 0:
+        raise ValidationError(f"trial count must be non-negative (got trials={trials})")
     if (k, r, d) == (14, 4, 5):
         # the one deliberately excluded triple still gets probed by the oracle (r_hat = 4)
         cp0 = CodeParams.unchecked(k, 4, r, d, 0)
@@ -222,20 +229,17 @@ def check_encoder_rll(
         mode = "sampled"
         total = trials
         pairs = _sampled_pairs(Stream(seed), k, r, cp0.modulus, trials)
-    violations = 0
-    counterexample = None
+    violations = []
     for y, b in pairs:
         bad = _embed_violates(cp0._replace(b=b), y)
         if bad:
-            violations += 1
-            if counterexample is None:
-                counterexample = f"y={y} b={b} {bad}"
+            violations.append(f"y={y} b={b} {bad}")
     return Report(
         name="encoder-rll",
         params={"k": k, "r": r, "d": cp0.d},
-        passed=violations == 0,
-        counterexample=counterexample,
-        stats={"mode": mode, "encodes": total, "violations": violations},
+        passed=not violations,
+        counterexample=violations[0] if violations else None,
+        stats={"mode": mode, "encodes": total, "violations": len(violations)},
     )
 
 
@@ -318,36 +322,43 @@ def check_channel_campaign(
 
     Each trial derives its own stream from (base_seed, index), draws a random
     message, transmits it through the channel, and checks message recovery.
-    The report digest hashes every event-log line and outcome in trial order,
-    so two runs with equal arguments must render byte-identically.
+    It logs one line `index kind position symbol outcome`, the outcome 1 if
+    the message came back and 0 if not. The report digest is the sha256 of
+    the log in trial order, so two runs with equal arguments must render
+    byte-identically. A negative trial count is rejected.
 
     The trial indices are split into _jobs(trials) contiguous blocks; every
     block but the last runs in a child forked with os.fork, the last in this
-    process. The blocks' log text is hashed in index order, their failures
-    summed and the lowest-index counterexample kept, so the report is the
-    same for every job count. If any block yields no result (its child
-    failed or never started, or the last block raised), every trial runs
-    once more serially in this process, which raises or reports exactly as
-    a single job.
+    process. The blocks' logs are joined in index order and the report is
+    read off the joined log: the digest, the failure count (the lines whose
+    outcome is 0) and the counterexample, built by running the first failing
+    trial again. So the report is the same for every job count. If any block
+    yields no log (its child failed or never started, or the last block
+    raised), every trial runs once more serially in this process, which
+    raises or reports exactly as a single job.
     """
+    if trials < 0:
+        raise ValidationError(f"trial count must be non-negative (got trials={trials})")
     cp = derive_params(k, r, d, b)
     jobs = _jobs(trials)
     bounds = [(trials * j // jobs, trials * (j + 1) // jobs) for j in range(jobs)]
-    digest = hashlib.sha256()
-    failures = 0
-    counterexample = None
     blocks = _campaign_blocks(cp, base_seed, bounds) if jobs > 1 else None
-    # one job, or a block gave no result: every trial runs here, as one serial block
-    for text, block_failures, first in blocks or [_campaign_block(cp, base_seed, 0, trials)]:
-        digest.update(text.encode())
-        failures += block_failures
-        counterexample = counterexample or first
+    # one job, or a block gave no log: every trial runs here, as one serial block
+    log = "".join(blocks or [_campaign_block(cp, base_seed, 0, trials)])
+    # a line's last field is its outcome, 0 for a failed trial
+    failed = [int(line.split(" ", 1)[0]) for line in log.splitlines() if line.endswith(" 0")]
+    counterexample = None
+    if failed:
+        # the trial seeds itself, so running it again gives the same message and event
+        u, event, _ = _trial(cp, base_seed, failed[0])
+        counterexample = f"trial={failed[0]} u={u} event=({log_line(event)})"
+    digest = hashlib.sha256(log.encode()).hexdigest()
     return Report(
         name="channel-campaign",
         params={"k": k, "r": r, "d": cp.d, "b": cp.b, "seed": base_seed},
-        passed=failures == 0,
+        passed=not failed,
         counterexample=counterexample,
-        stats={"trials": trials, "failures": failures, "digest": digest.hexdigest()},
+        stats={"trials": trials, "failures": len(failed), "digest": digest},
     )
 
 
@@ -364,32 +375,32 @@ def _jobs(trials: int) -> int:
     return min(len(os.sched_getaffinity(0)), max(1, trials // _MIN_TRIALS_PER_JOB))
 
 
-def _campaign_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
-    """Trials lo..hi-1: (their digest lines as one text, failure count, first counterexample)."""
+def _trial(cp: CodeParams, base_seed: int, index: int) -> tuple[BitSeq, ChannelEvent, bool]:
+    """Trial index: (its message, its channel event, whether the message decoded back)."""
+    stream = Stream(trial_seed(base_seed, index))
+    u = _random_word(stream, cp.k - 1)
+    event = random_event(cp.n, stream.next())
+    received = apply_event(encode_message(u, cp.k, cp.r, cp.d, cp.b), event)
+    try:
+        ok = decode_message(cp, received) == u
+    except CodecError:
+        ok = False
+    return u, event, ok
+
+
+def _campaign_block(cp: CodeParams, base_seed: int, lo: int, hi: int) -> str:
+    """Trials lo..hi-1 as their log lines `index kind position symbol outcome`, joined."""
     lines = []
-    failures = 0
-    counterexample = None
     for index in range(lo, hi):
-        stream = Stream(trial_seed(base_seed, index))
-        u = _random_word(stream, cp.k - 1)
-        event = random_event(cp.n, stream.next())
-        received = apply_event(encode_message(u, cp.k, cp.r, cp.d, cp.b), event)
-        try:
-            ok = decode_message(cp, received) == u
-        except CodecError:
-            ok = False
-        if not ok:
-            failures += 1
-            if counterexample is None:
-                counterexample = f"trial={index} u={u} event=({log_line(event)})"
+        _, event, ok = _trial(cp, base_seed, index)
         lines.append(f"{index} {log_line(event)} {int(ok)}\n")
-    return "".join(lines), failures, counterexample
+    return "".join(lines)
 
 
 def _campaign_blocks(cp: CodeParams, base_seed: int, bounds: list):
     """_campaign_block over each (lo, hi) of bounds, in order; all but the last run forked.
 
-    None if any block yields no result: its child failed or could not start, or it raised here.
+    None if any block yields no log: its child failed or could not start, or it raised here.
     """
     pending = []  # (pid, pipe read end) of each started child, in block order
     try:
@@ -424,9 +435,8 @@ def _fork_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
         status = 1
         try:
             os.close(rfd)
-            text, failures, first = _campaign_block(cp, base_seed, lo, hi)
             with open(wfd, "wb") as pipe:
-                pipe.write(f"{failures}\n{first or ''}\n{text}".encode())
+                pipe.write(_campaign_block(cp, base_seed, lo, hi).encode())
             status = 0
         finally:
             # the child never returns into its caller (a forked test runner must not run on)
@@ -435,14 +445,11 @@ def _fork_block(cp: CodeParams, base_seed: int, lo: int, hi: int):
     return pid, rfd
 
 
-def _collect(pid: int, fd: int) -> tuple | None:
-    """The block result a child wrote to its pipe, or None if it failed; closes the pipe, reaps."""
+def _collect(pid: int, fd: int) -> str | None:
+    """The block log a child wrote to its pipe, or None if it failed; closes the pipe, reaps."""
     try:
         with open(fd, "rb") as pipe:
             data = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
-    if status:
-        return None
-    failures, first, text = data.decode().split("\n", 2)
-    return text, int(failures), first or None
+    return None if status else data.decode()

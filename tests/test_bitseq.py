@@ -49,6 +49,16 @@ class TestBitSeq:
                 f"invalid character {text[position - 1]!r} at position {position}"
             )
 
+    @pytest.mark.parametrize("symbols, position, text", [([1.0], 1, "1.0"), ([0, 0.0], 2, "0.0")])
+    def test_a_float_symbol_is_a_data_error(self, symbols, position, text):
+        # 1.0 == 1, but a float is no symbol
+        with pytest.raises(DataError) as excinfo:
+            BitSeq(symbols)
+        assert str(excinfo.value) == f"symbol at position {position} is {text}, expected 0 or 1"
+
+    def test_bool_symbols_stay_symbols(self):
+        assert BitSeq([True, False]) == BitSeq("10")
+
     def test_raw_bytes_name_the_first_foreign_symbol(self):
         with pytest.raises(DataError) as excinfo:
             BitSeq(b"\x00\x02")

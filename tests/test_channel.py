@@ -38,6 +38,31 @@ class TestStream:
             for _ in range(200):
                 assert 0 <= s.below(bound) < bound
 
+    def test_below_rejects_a_bound_above_2_64(self, monkeypatch):
+        # no 64-bit draw fits under the rejection limit of such a bound, so a
+        # below that took it would draw for ever; count the draws to end it
+        draws = []
+        draw = Stream.next
+
+        def counted(stream):
+            assert len(draws) < 1000, "below kept drawing"
+            draws.append(None)
+            return draw(stream)
+
+        monkeypatch.setattr(Stream, "next", counted)
+        for bound in (2**64 + 1, 2**65, 3 * 2**64):
+            with pytest.raises(ValidationError) as excinfo:
+                Stream(1).below(bound)
+            assert str(excinfo.value) == f"bound must be at most 2^64 (got {bound})"
+        with pytest.raises(ValidationError):
+            random_event(2**64, 1, INSERTION)
+        assert draws == []
+
+    def test_below_2_64_is_the_raw_output(self):
+        for seed in (0, 1, 2**64 - 1):
+            a, b = Stream(seed), Stream(seed)
+            assert [a.below(2**64) for _ in range(5)] == [b.next() for _ in range(5)]
+
     def test_trial_seed_known_values(self):
         assert trial_seed(0, 0) == 16294208416658607535
         assert trial_seed(0, 1) == 7960286522194355700

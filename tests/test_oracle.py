@@ -1,4 +1,5 @@
 """Brute-force oracles: enumeration, disjointness, and the report format."""
+import hashlib
 import os
 import threading
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 
 from rllindel import oracle
 from rllindel.bitseq import BitSeq, is_rll
-from rllindel.channel import Stream, apply_event, random_event, trial_seed
+from rllindel.channel import Stream, apply_event, log_line, random_event, trial_seed
 from rllindel.code import derive_params, encode_message, raw_params
+from rllindel.decoder import decode_message
 from rllindel.errors import DataError, InvariantError, ValidationError
 from rllindel.oracle import (
     Report,
@@ -199,6 +201,13 @@ class TestEncoderRll:
         with pytest.raises(ValidationError):
             check_encoder_rll(6, 4)
 
+    @pytest.mark.parametrize("k", [7, 13])
+    def test_rejects_a_negative_trial_count(self, k):
+        # k = 7 is exhaustive and k = 13 sampled; the count is checked in both
+        with pytest.raises(ValidationError) as excinfo:
+            check_encoder_rll(k, 4, trials=-3)
+        assert str(excinfo.value) == "trial count must be non-negative (got trials=-3)"
+
     @pytest.mark.parametrize("kind", ["run-limit", "membership"])
     @pytest.mark.parametrize("k, r, d, sampled", [(7, 4, 6, {}), (14, 4, 7, {"trials": 400})])
     def test_broken_embedder_fails(self, kind, k, r, d, sampled, monkeypatch):
@@ -318,6 +327,11 @@ class TestChannelCampaign:
         b = check_channel_campaign(13, 4, 200, 6)
         assert a.stats["digest"] != b.stats["digest"]
 
+    def test_rejects_a_negative_trial_count(self):
+        with pytest.raises(ValidationError) as excinfo:
+            check_channel_campaign(13, 4, -5, 1)
+        assert str(excinfo.value) == "trial count must be non-negative (got trials=-5)"
+
 
 def trial_words(k, r, base_seed, index):
     """The message trial index of a campaign encodes and the word its decoder receives."""
@@ -426,6 +440,46 @@ class TestShardedCampaign:
         for jobs in (2, 3):
             assert campaign(monkeypatch, jobs, 13, 4, 301, 9).render() == serial
             assert_no_child_left()
+
+
+class TestCampaignLog:
+    """The report is read off the documented trial log, built here without the oracle."""
+
+    def test_digest_failures_and_counterexample_come_from_the_log(self, monkeypatch):
+        # 160 trials split at 80 (two jobs) and at 53 and 106 (three): trials
+        # 52 and 53 straddle a boundary, and 159 lies in the block this process runs
+        k, r, trials, seed = 60, 6, 160, 21
+        cp = derive_params(k, r)
+        injected = {52: "raise", 53: "wrong", 159: "raise"}
+        lines, failing, bad = [], [], {}
+        for index in range(trials):
+            stream = Stream(trial_seed(seed, index))
+            u = _random_word(stream, k - 1)
+            event = random_event(cp.n, stream.next())
+            received = apply_event(encode_message(u, k, r), event)
+            ok = index not in injected and decode_message(cp, received) == u
+            lines.append(f"{index} {log_line(event)} {int(ok)}\n")
+            if not ok:
+                failing.append(f"trial={index} u={u} event=({log_line(event)})")
+                bad[received] = injected[index]
+        assert len(bad) == len(injected)
+        log = "".join(lines)
+
+        def faulty(cp, received):
+            if bad.get(received) == "raise":
+                raise DataError("injected failure")
+            if bad.get(received) == "wrong":
+                return decode_message(cp, received)[::-1]
+            return decode_message(cp, received)
+
+        monkeypatch.setattr(oracle, "decode_message", faulty)
+        for jobs in (1, 2, 3):
+            report = campaign(monkeypatch, jobs, k, r, trials, seed)
+            assert_no_child_left()
+            assert not report.passed
+            assert report.stats["digest"] == hashlib.sha256(log.encode()).hexdigest()
+            assert report.stats["failures"] == len(failing) == 3
+            assert report.counterexample == failing[0]
 
 
 class TestJobs:
