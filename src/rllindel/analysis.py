@@ -48,20 +48,27 @@ def g_bound(r: int) -> int:
 h_bound = feasibility_bound
 
 
-def phi(n: float) -> float:
+def phi(n: int) -> float:
     """Lower bound on the redundancy of any run-limited single-indel code.
 
     Evaluates n - log2(2^n - 2) + log2(n - 1); the first two terms are
-    computed as -log2(1 - 2^(1-n)) so large n cannot overflow.
+    computed as -log2(1 - 2^(1-n)) so large n cannot overflow, and 2^(1-n)
+    is built by ldexp, which is exact and reaches 0.0 for any integer n.
     """
     if n < 2:
         raise ValidationError(f"blocklength must be at least 2 (got n={n})")
-    return -math.log1p(-(2.0 ** (1 - n))) / _LN2 + math.log2(n - 1)
+    return -math.log1p(-math.ldexp(1.0, 1 - n)) / _LN2 + math.log2(n - 1)
 
 
 def psi(n: float) -> float:
-    """Positivity witness for the growth of phi: 2^n - 2 - 2(n-1) ln 2."""
-    return 2.0**n - 2.0 - 2.0 * (n - 1) * _LN2
+    """Positivity witness for the growth of phi: 2^n - 2 - 2(n-1) ln 2.
+
+    inf where 2^n overflows a float, from n = 1024 on.
+    """
+    try:
+        return 2.0**n - 2.0 - 2.0 * (n - 1) * _LN2
+    except OverflowError:
+        return math.inf
 
 
 _RowFields = namedtuple("_RowFields", "n r_hat redundancy phi gap")

@@ -59,7 +59,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
-from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_patterns, le_encode
+from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_patterns
 from .errors import DataError, InvariantError, ValidationError
 from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 
@@ -99,7 +99,9 @@ class CodeParams(namedtuple("CodeParams", "k r_hat r d b m n modulus")):
 
 
 def d_range(r_hat: int) -> tuple[int, int]:
-    """Valid closed range for the free coefficient d at a given r_hat."""
+    """Valid closed range for the free coefficient d at a given r_hat >= 4."""
+    if r_hat < 4:
+        raise ValidationError(f"shape parameter must be at least 4 (got r_hat={r_hat})")
     return (1 << (r_hat - 2)) + 1, (1 << (r_hat - 1)) - 1
 
 
@@ -179,7 +181,9 @@ def raw_params(n: int, r_hat: int, d: int, b: int = 0) -> CodeParams:
 
 
 def coefficient_value(i: int, r_hat: int, d: int) -> int:
-    """The i-th coefficient of the shape-(r_hat, d) sequence (no range check)."""
+    """The i-th coefficient of the shape-(r_hat, d) sequence, i >= 1 (r_hat and d unchecked)."""
+    if i < 1:
+        raise ValidationError(f"coefficient index must be at least 1 (got i={i})")
     if i < r_hat:
         return 1 << (i - 1)
     if i == r_hat:
@@ -251,28 +255,16 @@ def is_codeword(cp: CodeParams, z: BitSeq) -> bool:
     return mu(cp, z) % cp.modulus == cp.b
 
 
-def _sigma(cp: CodeParams, y: BitSeq) -> int:
-    """Weight of the message part y, which sits at 1-based positions m+1 .. n.
-
-    That is the weight of y behind m zero parity symbols.
-    """
-    k = cp.k
-    if len(y) != k:
-        raise DataError(f"message-part length {len(y)} != k = {k}")
-    return _weight(cp, bytes(cp.m) + y.tobytes())
-
-
-def _residue(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> int:
-    """The value q of the solved parity positions, given the message-part weight sigma."""
-    if p_rhat not in (0, 1) or p_m not in (0, 1):
-        raise DataError("parity symbols must be 0 or 1")
-    # a_m = 2^r_hat + 1, as m = r_hat + 3 lies in the affine part
-    return (cp.b - cp.d * p_rhat - ((1 << cp.r_hat) + 1) * p_m - sigma) % cp.modulus
-
-
 def _parity(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> bytes:
-    """The m parity symbols: q's low r_hat - 1 bits, p_rhat, q's top two bits, p_m."""
-    q = _residue(cp, p_rhat, p_m, sigma)
+    """The m parity symbols that bring the message-part weight sigma to residue b.
+
+    The solved value q of positions (1 .. r_hat-1, r_hat+1, r_hat+2), which
+    weigh (2^0 .. 2^(r_hat-2), 2^(r_hat-1), 2^r_hat), is laid out as q's low
+    r_hat - 1 bits, p_rhat, q's top two bits and p_m. Well defined because
+    the modulus never exceeds 2^(r_hat+1).
+    """
+    # a_m = 2^r_hat + 1, as m = r_hat + 3 lies in the affine part
+    q = (cp.b - cp.d * p_rhat - ((1 << cp.r_hat) + 1) * p_m - sigma) % cp.modulus
     split = cp.r_hat - 1
     # le_encode's range check; only an unchecked bundle's modulus exceeds 2^(r_hat + 1)
     if q >> (split + 2):
@@ -284,20 +276,17 @@ def _parity(cp: CodeParams, p_rhat: int, p_m: int, sigma: int) -> bytes:
     return format(value, "b")[:0:-1].encode().translate(_FROM_ASCII)
 
 
-def parity_solve(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
-    """Solve the parity congruence for fixed separator and fallback symbols.
-
-    Returns the (r_hat+1)-symbol little-endian word q whose symbols populate
-    parity positions (1 .. r_hat-1, r_hat+1, r_hat+2) with weights
-    (2^0 .. 2^(r_hat-2), 2^(r_hat-1), 2^r_hat). Well defined because the
-    modulus never exceeds 2^(r_hat+1).
-    """
-    return le_encode(_residue(cp, p_rhat, p_m, _sigma(cp, y)), cp.r_hat + 1)
-
-
 def parity_word(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
-    """The assembled m-symbol parity part for the given separator/fallback symbols."""
-    return BitSeq._wrap(_parity(cp, p_rhat, p_m, _sigma(cp, y)))
+    """The assembled m-symbol parity part for the given separator/fallback symbols.
+
+    The message part y sits at positions m+1 .. n, so its weight is that of
+    y behind m zero parity symbols.
+    """
+    if len(y) != cp.k:
+        raise DataError(f"message-part length {len(y)} != k = {cp.k}")
+    if p_rhat not in (0, 1) or p_m not in (0, 1):
+        raise DataError("parity symbols must be 0 or 1")
+    return BitSeq._wrap(_parity(cp, p_rhat, p_m, _weight(cp, bytes(cp.m) + y.tobytes())))
 
 
 def _embed(cp: CodeParams, y: bytes, packed: int | None = None) -> bytes:

@@ -203,7 +203,9 @@ def omega(s: int, t: int) -> BitSeq:
 
 def _omega(s: int, t: int) -> bytes:
     v, rem = divmod(s, t + 1)
-    return b"\x00" * rem + (b"\x01" * t + b"\x00") * v
+    # the block 1^t 0 only where it repeats: for s <= t, t may be too large to build
+    block = b"\x01" * t + b"\x00" if v else b""
+    return b"\x00" * rem + block * v
 
 
 @lru_cache(maxsize=4096)

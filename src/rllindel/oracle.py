@@ -9,10 +9,10 @@ The exhaustive suites take their words from one generator, _words: every
 n-symbol word as bytes, one byte per symbol, in lexicographic order.
 enumerate_rll is a filter over it that keeps the words without a run longer
 than r, so it keeps that order and, like the other suites, walks all 2^n
-words under the one enumeration cap. A word's weighted sum is one compress
-pass over the coefficient table, as code._weight makes it below its
-crossover. The sidc check enumerates each code length once and splits the
-words by residue, whether it checks every residue or only one.
+words under the one enumeration cap. A word's weighted sum is code._weight,
+the codec's one weighted sum. The sidc check enumerates each code length
+once and splits the words by residue, whether it checks every residue or
+only one.
 
 Report is the one report type of the verification layer; the gap-condition
 sweep in analysis returns it too. It renders as two text lines: a
@@ -40,13 +40,13 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from itertools import compress, product
+from itertools import product
 
 from .bitseq import BitSeq, _run_patterns, is_rll, is_zero_constrained, le_encode
 from .channel import ChannelEvent, Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
     CodeParams,
-    _coefficients,
+    _weight,
     derive_params,
     embed_encode,
     encode_message,
@@ -109,10 +109,11 @@ def enumerate_rll(n: int, r: int) -> list[BitSeq]:
     """All length-n words with maximum run-length <= r, in lexicographic order."""
     if n < 1:
         raise ValidationError(f"length must be positive (got n={n})")
-    # _run_patterns rejects r < 1
-    zeros, ones = _run_patterns(r, n)
+    # the cap comes first: at r >= n, _run_patterns builds two words of n + 1 symbols
     if n > _ENUM_CAP:
         raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
+    # _run_patterns rejects r < 1
+    zeros, ones = _run_patterns(r, n)
     return [BitSeq._wrap(word) for word in _words(n) if zeros not in word and ones not in word]
 
 
@@ -121,11 +122,10 @@ def _codes(params: CodeParams, residues) -> dict[int, list[BitSeq]]:
     n = params.n
     if n > _ENUM_CAP:
         raise ValidationError(f"exhaustive enumeration is capped at n = {_ENUM_CAP} (got n={n})")
-    coeffs = _coefficients(n, params.r_hat, params.d)
     modulus = params.modulus
     codes = {residue: [] for residue in residues}
     for word in _words(n):
-        code = codes.get(sum(compress(coeffs, word)) % modulus)
+        code = codes.get(_weight(params, word) % modulus)
         if code is not None:
             code.append(BitSeq._wrap(word))
     return codes
@@ -276,10 +276,8 @@ def check_front_roundtrip(k: int, r: int) -> Report:
         raise ValidationError(
             f"exhaustive round-trip check is capped at k = {_ROUNDTRIP_CAP} (got k={k})"
         )
-    failures = 0
-    counterexample = None
+    problems = []
     seen: dict[BitSeq, BitSeq] = {}
-    total = 1 << (k - 1)
     for data in _words(k - 1):
         u = BitSeq._wrap(data)
         x = wi_encode(u, fp)
@@ -298,15 +296,13 @@ def check_front_roundtrip(k: int, r: int) -> Report:
             except CodecError as exc:
                 problem = f"decode-error ({exc})"
         if problem:
-            failures += 1
-            if counterexample is None:
-                counterexample = f"u={u} x={x} {problem}"
+            problems.append(f"u={u} x={x} {problem}")
     return Report(
         name="front-roundtrip",
         params={"k": k, "r": r},
-        passed=failures == 0,
-        counterexample=counterexample,
-        stats={"messages": total, "failures": failures},
+        passed=not problems,
+        counterexample=problems[0] if problems else None,
+        stats={"messages": 1 << (k - 1), "failures": len(problems)},
     )
 
 

@@ -1,4 +1,5 @@
 """Redundancy table, bound comparison, and the parity-collision sweep."""
+import math
 from itertools import groupby
 
 import pytest
@@ -53,6 +54,8 @@ class TestPhi:
 
     def test_large_n_does_not_overflow(self):
         assert abs(phi(4096) - 12.0) < 0.01
+        # beyond a float's range 2^(1-n) is 0.0, so the bound is log2(n - 1)
+        assert phi(10**400) == math.log2(10**400 - 1)
 
     def test_range_error(self):
         with pytest.raises(ValidationError):
@@ -61,6 +64,10 @@ class TestPhi:
     def test_psi_positive(self):
         for n in range(14, 65):
             assert psi(n) > 0
+
+    def test_psi_is_inf_where_2_to_the_n_overflows(self):
+        assert math.isfinite(psi(1023))
+        assert psi(1024) == psi(10**400) == math.inf
 
 
 class TestRedundancyRow:
@@ -75,6 +82,11 @@ class TestRedundancyRow:
         row = redundancy_row(14)
         assert row.redundancy == 8
         assert abs(row.gap - 4.299384) < 1e-6
+
+    def test_blocklength_beyond_a_float(self):
+        row = redundancy_row(10**400)
+        assert (row.r_hat, row.redundancy) == (1329, 1333)
+        assert abs(row.gap - 4.228762) < 1e-6
 
     def test_range_error(self):
         with pytest.raises(ValidationError):

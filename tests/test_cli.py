@@ -493,6 +493,12 @@ class TestAnalyze:
         assert lines[1] == "14,4,8,3.700616,4.299384"
         assert len(lines) == 88
 
+    def test_blocklength_beyond_a_float(self):
+        n = str(10**400)
+        result = run("analyze", "redundancy", "--n-min", n, "--n-max", n)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == f"n,r_hat,redundancy,phi,gap\n{n},1329,1333,1328.771238,4.228762\n"
+
     def test_rows_are_the_text_of_emit_csv(self):
         result = run("analyze", "redundancy", "--n-min", "14", "--n-max", "300")
         assert result.returncode == 0

@@ -25,7 +25,6 @@ from rllindel.code import (
     is_codeword,
     mu,
     params_text,
-    parity_solve,
     parity_word,
     raw_params,
 )
@@ -52,6 +51,12 @@ class TestDeriveParams:
     def test_d_range(self):
         assert d_range(4) == (5, 7)
         assert d_range(5) == (9, 15)
+
+    @pytest.mark.parametrize("r_hat", [3, 1, 0, -1])
+    def test_d_range_rejects_a_small_shape(self, r_hat):
+        with pytest.raises(ValidationError) as excinfo:
+            d_range(r_hat)
+        assert str(excinfo.value) == f"shape parameter must be at least 4 (got r_hat={r_hat})"
 
     def test_rejects_small_k(self):
         with pytest.raises(ValidationError, match="at least 7"):
@@ -100,6 +105,12 @@ class TestDeriveParams:
 
 
 class TestCoefficients:
+    @pytest.mark.parametrize("i", [0, -1])
+    def test_index_below_1_is_rejected(self, i):
+        with pytest.raises(ValidationError) as excinfo:
+            coefficient_value(i, 4, 6)
+        assert str(excinfo.value) == f"coefficient index must be at least 1 (got i={i})"
+
     def test_sequence_n21(self):
         cp = derive_params(14, 4, d=6)
         got = [coefficient_value(i, cp.r_hat, cp.d) for i in range(1, 23)]
@@ -298,13 +309,6 @@ class TestParity:
         assert str(parity_word(cp, 0, 0, EXAMPLE_Y)) == "0100000"
         assert str(parity_word(cp, 1, 0, EXAMPLE_Y)) == "0011110"
 
-    def test_solve_residues(self):
-        cp = derive_params(**EXAMPLE_CP)
-        from rllindel.bitseq import le_decode
-
-        assert le_decode(parity_solve(cp, 0, 0, EXAMPLE_Y)) == 2
-        assert le_decode(parity_solve(cp, 1, 0, EXAMPLE_Y)) == 28
-
     @pytest.mark.parametrize("r_hat", range(4, 13))
     def test_one_format_matches_the_splice(self, r_hat):
         # the shortest and longest k of the band; at the longest the modulus
@@ -323,15 +327,13 @@ class TestParity:
         cp = CodeParams.unchecked(40, 4, 4, 6, 57)
         y = BitSeq(b"\x00" * 40)
         message = "value x=57 is outside \\[0, 2\\^5 - 1\\]"
-        for call in (parity_solve, parity_word):
-            with pytest.raises(DataError, match=message):
-                call(cp, 0, 0, y)
+        with pytest.raises(DataError, match=message):
+            parity_word(cp, 0, 0, y)
 
     def test_parity_symbols_must_be_bits(self):
         cp = derive_params(**EXAMPLE_CP)
-        for call in (parity_solve, parity_word):
-            with pytest.raises(DataError, match="parity symbols must be 0 or 1"):
-                call(cp, 2, 0, EXAMPLE_Y)
+        with pytest.raises(DataError, match="parity symbols must be 0 or 1"):
+            parity_word(cp, 2, 0, EXAMPLE_Y)
 
     @settings(max_examples=100)
     @given(st.integers(min_value=0, max_value=(1 << 14) - 1), st.integers(min_value=0, max_value=31))

@@ -54,6 +54,11 @@ class TestOmega:
         with pytest.raises(ValidationError):
             omega(-1, 4)
 
+    def test_no_block_built_below_t_plus_1(self):
+        # t = 10^22 is too large to build 1^t, and s <= t needs no block
+        assert str(omega(0, 10**22)) == ""
+        assert str(omega(3, 10**22)) == "000"
+
 
 class TestFrontParams:
     def test_accepts_safe_pairs(self):

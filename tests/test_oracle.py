@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import rllindel.code
 from rllindel import oracle
 from rllindel.bitseq import BitSeq, is_rll
 from rllindel.channel import Stream, apply_event, log_line, random_event, trial_seed
@@ -61,6 +62,16 @@ class TestEnumerateRll:
             enumerate_rll(0, 4)
         with pytest.raises(ValidationError):
             enumerate_rll(4, 0)
+
+    def test_cap_comes_before_any_pattern(self, monkeypatch):
+        # at r >= n the two run patterns have n + 1 symbols each
+        def patterns(r, n):
+            raise AssertionError(f"built the n={n} patterns before the cap check")
+
+        monkeypatch.setattr(oracle, "_run_patterns", patterns)
+        with pytest.raises(ValidationError) as excinfo:
+            enumerate_rll(3 * 10**8, 3 * 10**8)
+        assert str(excinfo.value) == "exhaustive enumeration is capped at n = 24 (got n=300000000)"
 
 
 class TestEnumerateCodewords:
@@ -145,11 +156,11 @@ class TestDeletionBalls:
         # constant coefficients a code is a set of equal-weight words, which
         # a deletion can confuse, so most residues FAIL
         if table == "constant":
-            monkeypatch.setattr(oracle, "_coefficients", lambda n, r_hat, d: (1,) * (n + 1))
+            monkeypatch.setattr(rllindel.code, "_coefficients", lambda n, r_hat, d: (1,) * (n + 1))
         verdicts = []
         for n in range(9, 13):
             modulus = raw_params(n, 4, 6).modulus
-            coeffs = oracle._coefficients(n, 4, 6)
+            coeffs = rllindel.code._coefficients(n, 4, 6)
             words = [BitSeq(format(mask, f"0{n}b")) for mask in range(1 << n)]
             weights = [sum(a * s for a, s in zip(coeffs, w)) for w in words]
             ok = []
