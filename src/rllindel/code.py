@@ -98,10 +98,14 @@ class CodeParams(namedtuple("CodeParams", "k r_hat r d b m n modulus")):
         return cls(k, r_hat, r, d, b, m, n, coefficient_value(n + 1, r_hat, d))
 
 
-def d_range(r_hat: int) -> tuple[int, int]:
-    """Valid closed range for the free coefficient d at a given r_hat >= 4."""
+def _check_r_hat(r_hat: int) -> None:
     if r_hat < 4:
         raise ValidationError(f"shape parameter must be at least 4 (got r_hat={r_hat})")
+
+
+def d_range(r_hat: int) -> tuple[int, int]:
+    """Valid closed range for the free coefficient d at a given r_hat >= 4."""
+    _check_r_hat(r_hat)
     return (1 << (r_hat - 2)) + 1, (1 << (r_hat - 1)) - 1
 
 
@@ -174,16 +178,16 @@ def raw_params(n: int, r_hat: int, d: int, b: int = 0) -> CodeParams:
     """
     if n < 1:
         raise ValidationError(f"code length must be positive (got n={n})")
-    if r_hat < 4:
-        raise ValidationError(f"shape parameter must be at least 4 (got r_hat={r_hat})")
+    _check_r_hat(r_hat)
     _check_d(d, r_hat)
     return _check_b(CodeParams.unchecked(n - r_hat - 3, r_hat, r_hat, d, b))
 
 
 def coefficient_value(i: int, r_hat: int, d: int) -> int:
-    """The i-th coefficient of the shape-(r_hat, d) sequence, i >= 1 (r_hat and d unchecked)."""
+    """The i-th coefficient of the shape-(r_hat, d) sequence, i >= 1 and r_hat >= 4 (d unchecked)."""
     if i < 1:
         raise ValidationError(f"coefficient index must be at least 1 (got i={i})")
+    _check_r_hat(r_hat)
     if i < r_hat:
         return 1 << (i - 1)
     if i == r_hat:

@@ -42,9 +42,11 @@ the scan point (the forbidden word's, or the last pointer's or marker's), so
 the scan never reaches the sentinel. Every symbol of rest is searched and
 copied a bounded number of times, so s replacements cost O(k + s*r) C-level
 work and O(s) Python steps of a few integer operations each, with no memmove.
-Each pointer is built on its first use and kept in a bounded cache, so pointer
-work and memory follow s, not k. A message with no forbidden word and fewer
-than r trailing zeros returns at once with the sentinel appended.
+A replacement's pointer is one lookup in _POINTERS, a dict keyed by 2^r + v:
+a miss builds the pointer, and the dict is emptied once it holds _INDEX_SIZE
+entries, so pointer work and memory follow s, not k, at any r. A message
+with no forbidden word and fewer than r trailing zeros returns at once with
+the sentinel appended.
 tests/reference.py keeps the restart-from-symbol-0 loop as the reference
 the tests compare this encoder against.
 
@@ -129,7 +131,6 @@ shorter words and the public nrzi_encode, and the gain is the dropped pack.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq
 from .errors import DataError, InvariantError, ValidationError
@@ -208,42 +209,42 @@ def _omega(s: int, t: int) -> bytes:
     return b"\x00" * rem + block * v
 
 
-@lru_cache(maxsize=4096)
-def _pointer(v: int, r: int) -> bytes:
-    """le_encode(v, r), the pointer for a forbidden word that starts at v - 4.
-
-    Built on first use and kept for the 4096 most recent (v, r), which covers
-    every pointer of a k = 4000 word. v = p + 3 < 2^r at every accepted
-    (k, r); a wider pointer makes the output too long, which _wi_encode's
-    length check reports.
-    """
-    return format(v, f"0{r}b")[::-1].encode().translate(_FROM_ASCII)
-
-
 # Most symbols an undo moves inside left; an insertion point further left
 # moves the gap there instead.
 _NEAR = 256
+# Entries a pointer table keeps before it is emptied: every pointer of a
+# k = 4000 word fits, and at any r, where 2^r pointers exist, it stays small.
 _INDEX_SIZE = 4096
 
 
-class _PointerIndex(dict):
-    """Pointer symbols, as received, to the insertion index le_decode - 4 they name.
+class _PointerTable(dict):
+    """A dict that builds a missing value as build(key) and keeps it.
 
-    A miss decodes the pointer and keeps it. The dict is emptied when it holds
-    _INDEX_SIZE entries, as many as _pointer keeps, so it stays small at any
-    r, where 2^r pointers exist.
+    It is emptied when it holds _INDEX_SIZE entries, so its memory follows the
+    pointers in use, not the 2^r that exist.
     """
 
-    __slots__ = ()
+    __slots__ = ("_build",)
 
-    def __missing__(self, ptr: bytes) -> int:
+    def __init__(self, build) -> None:
+        self._build = build
+
+    def __missing__(self, key):
         if len(self) >= _INDEX_SIZE:
             self.clear()
-        q = self[ptr] = int(ptr[::-1].translate(_TO_ASCII), 2) - 4
-        return q
+        value = self[key] = self._build(key)
+        return value
 
 
-_POINTER_INDEX = _PointerIndex()
+# Key 2^r + v to le_encode(v, r), the pointer for a forbidden word that starts
+# at v - 4: the key's binary digits, reversed, without its top 1. The key's bit
+# length carries r, so a pointer never comes back at another width when callers
+# switch r. v < 2^r at every accepted (k, r); a wider v gives a pointer of more
+# than r symbols, so the output is too long, which _wi_encode's length check
+# reports.
+_POINTERS = _PointerTable(lambda key: format(key, "b")[:0:-1].encode().translate(_FROM_ASCII))
+# Pointer symbols, as received, to the insertion index le_decode - 4 they name.
+_POINTER_INDEX = _PointerTable(lambda ptr: int(ptr[::-1].translate(_TO_ASCII), 2) - 4)
 
 
 def _wi_encode(data: bytes, k: int, r: int) -> bytes:
@@ -269,6 +270,9 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
         pos = rest.rfind(1, 0, q) + 1
         head = rest[:pos]
         c = 0
+        # the key of the pointer for a forbidden word at len(head) + c is
+        # base + c
+        base = (1 << r) + pos + 4
         while True:
             # a 1 lies at or after pos: the forbidden word's, or one in the
             # last pointer or marker appended
@@ -285,7 +289,7 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
                 # forbidden word started at len(head) + c
                 c = run - r
                 pos = j + 1
-                rest += _pointer(len(head) + c + 4, r)
+                rest += _POINTERS[base + c]
                 continue
             # the 1 at j ends a short run; stop if no forbidden word is left
             q = rest.find(pattern, j + 1)
@@ -295,6 +299,7 @@ def _wi_encode(data: bytes, k: int, r: int) -> bytes:
             end = rest.rfind(1, j, q) + 1
             head += bytes(c)
             head += rest[pos:end]
+            base += c + end - pos
             c = 0
             pos = end
         out = b"".join((head, bytes(c), rest[pos:], _FORBIDDEN_ONE, _omega(s, r - 1)))

@@ -118,6 +118,12 @@ class TestRho:
         with pytest.raises(DataError):
             rho(4, BitSeq("000"))
 
+    @pytest.mark.parametrize("r_hat", range(4))
+    def test_shape_below_4_is_rejected(self, r_hat):
+        with pytest.raises(ValidationError) as excinfo:
+            rho(r_hat, BitSeq("0" * (r_hat + 3)))
+        assert str(excinfo.value) == f"shape parameter must be at least 4 (got r_hat={r_hat})"
+
     def test_matches_the_per_position_sum(self):
         # every position but the solved one and the last, each by its own coefficient
         for r_hat in range(4, 8):

@@ -111,6 +111,13 @@ class TestCoefficients:
             coefficient_value(i, 4, 6)
         assert str(excinfo.value) == f"coefficient index must be at least 1 (got i={i})"
 
+    @pytest.mark.parametrize("r_hat", range(4))
+    def test_shape_below_4_is_rejected(self, r_hat):
+        # at r_hat <= 1, index 1 would reach 1 << (i - 2), a negative shift
+        with pytest.raises(ValidationError) as excinfo:
+            coefficient_value(1, r_hat, 6)
+        assert str(excinfo.value) == f"shape parameter must be at least 4 (got r_hat={r_hat})"
+
     def test_sequence_n21(self):
         cp = derive_params(14, 4, d=6)
         got = [coefficient_value(i, cp.r_hat, cp.d) for i in range(1, 23)]

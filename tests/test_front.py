@@ -15,6 +15,7 @@ from rllindel.errors import DataError, ValidationError
 from rllindel.front import (
     _INDEX_SIZE,
     _POINTER_INDEX,
+    _POINTERS,
     FrontParams,
     _wi_decode,
     _wi_encode,
@@ -306,6 +307,42 @@ class TestResumedSearchMatchesReference:
         for _ in range(max(20, 2000 // k)):
             data = bytes(rng.random() < p_one for _ in range(k - 1))
             assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
+
+    @pytest.mark.parametrize("k, r", [(500, 12), (4000, 12)])
+    def test_benchmark_shaped_messages(self, k, r):
+        # bits ANDed 4 and 6 times, as the benchmark draws sparse messages,
+        # and 0^(k-1), whose one cascade runs on into the pointers it appends
+        rng = random.Random(f"anded {k} {r}")
+        messages = [bytes(k - 1)]
+        for sparsity in (4, 6):
+            for _ in range(10):
+                value = rng.getrandbits(k - 1)
+                for _ in range(sparsity - 1):
+                    value &= rng.getrandbits(k - 1)
+                messages.append(BitSeq(format(value, f"0{k - 1}b")).tobytes())
+        for data in messages:
+            assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
+
+    def test_run_limits_in_turn(self):
+        # the pointer table serves every r: a pointer kept at one width must
+        # not come back at another
+        k = 4000
+        rng = random.Random("run limits in turn")
+        for r in (12, 13, 12, 13):
+            FrontParams(k, r)
+            for _ in range(3):
+                data = _sparse_message(rng, k - 1, 1 / 16)
+                assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
+
+    def test_pointer_table_stays_bounded(self):
+        # at r = 20 there are 2^20 pointers; these messages make over 10^4
+        # distinct ones between them
+        k, r = 10**5, 20
+        rng = random.Random(2)
+        messages = [bytes(k - 1)] + [_sparse_message(rng, k - 1, 1 / 16) for _ in range(3)]
+        for data in messages:
+            assert _wi_encode(data, k, r) == reference_wi_encode(data, k, r)
+            assert 0 < len(_POINTERS) <= _INDEX_SIZE
 
     @pytest.mark.parametrize(
         "message, word",
