@@ -133,6 +133,30 @@ def _run_patterns(r: int, n: int) -> tuple[bytes, bytes]:
     return b"\x00" * (r + 1), b"\x01" * (r + 1)
 
 
+def _run_over(packed: int, size: int, r: int) -> bool:
+    """True iff the size-symbol word packed one bit per symbol holds a run longer than r >= 1.
+
+    packed holds the first symbol as its most significant bit. A run longer
+    than r is r equal neighbour pairs in a row, that is r ones in a row
+    among the word's size - 1 equal-neighbour bits. Doubling the window each
+    bit covers, and one last shift that brings it to r, takes about
+    ceil(log2 r) big-int shifts and ANDs, where each byte search for a
+    _run_patterns run walks the word about one byte a step.
+    """
+    if r >= size:
+        return False
+    # bit i is 1 where the symbols i and i + 1 places before the end are equal
+    window = ~(packed ^ packed >> 1) & ((1 << (size - 1)) - 1)
+    # from here on, bit i is 1 where equal-neighbour bits i .. i + width - 1 all are
+    width = 1
+    while width << 1 <= r:
+        window &= window >> width
+        width <<= 1
+    if width < r:
+        window &= window >> (r - width)
+    return window != 0
+
+
 def is_rll(s: BitSeq, r: int) -> bool:
     """True iff no run in s is longer than r."""
     zeros, ones = _run_patterns(r, len(s._data))

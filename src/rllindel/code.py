@@ -40,12 +40,15 @@ with one format of its little-endian value, p_rhat and p_m shifted into
 place. Only the public functions check lengths and build a BitSeq, one per
 call; encode_message chains the front end's bytes functions into _embed and
 wraps once. Where the word is packed: below _SLICED_FROM symbols nowhere on
-the encode path, as _weight takes the bytes. From _SLICED_FROM on,
-encode_message packs the front end's word once, one bit per symbol, and
-front._nrzi_packed runs NRZI on that int and unpacks it once for the run
-checks and the output; _embed hands the same int to _weight, since m zero
-parity symbols ahead of y leave y's packing unchanged. The public
-embed_encode still lets _weight pack the message part itself.
+the encode path, as _weight takes the bytes and the run limit is two byte
+searches over y. From _SLICED_FROM on, encode_message packs the front end's
+word once, one bit per symbol, and front._nrzi_packed runs NRZI on that int
+and unpacks it once for the output; _embed checks y's run limit on the same
+int (bitseq._run_over, about ceil(log2 r) shifts and ANDs where the two
+searches each walk y about one byte a step) and hands it to _weight, since m
+zero parity symbols ahead of y leave y's packing unchanged. The public
+embed_encode passes bytes alone, and from _SLICED_FROM on _embed packs them
+once itself for both. The m-symbol parity drafts stay bytes and are searched.
 
 One CodeParams type describes every code. Its unchecked constructor is the
 only place that derives m = r_hat + 3, n = m + k and the modulus a_(n+1),
@@ -59,7 +62,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 
-from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_patterns
+from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_over, _run_patterns
 from .errors import DataError, InvariantError, ValidationError
 from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 
@@ -69,6 +72,10 @@ from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 # n = 180 and 220. A caller that holds the word packed already saves the
 # pack, but at n = 161 the two still cost about the same (2.05 us for the
 # pass, 2.21 us for the sliced sum), so one crossover serves every caller.
+# _embed's run check switches here too, as it pays off only on an int that
+# _weight takes as well: below, no int is held, and packing one and checking
+# it (0.9-1.1 us at k = 60-120) costs more than the byte searches (0.6-1.1
+# us); at k = 4000 the check on a held int takes 2-3 us against 15 us.
 _SLICED_FROM = 200
 
 # The most mask sets _index_masks keeps, one per word length: the lengths
@@ -297,11 +304,19 @@ def _embed(cp: CodeParams, y: bytes, packed: int | None = None) -> bytes:
     """embed_encode on raw bytes, after its length check: the codeword's symbols.
 
     packed, if given, is y packed one bit per symbol, which is also the
-    packing of the m zero parity symbols and y that _weight takes.
+    packing of the m zero parity symbols and y that _weight takes. From
+    _SLICED_FROM symbols on, y is packed here if it is not given, and its run
+    limit is checked on that int rather than by two byte searches over y.
     """
     r = cp.r
     zeros, ones = _run_patterns(r, cp.n)
-    if zeros in y or ones in y:
+    if cp.n < _SLICED_FROM:
+        too_long = zeros in y or ones in y
+    else:
+        if packed is None:
+            packed = int(y.translate(_TO_ASCII), 2)
+        too_long = _run_over(packed, cp.k, r)
+    if too_long:
         raise DataError(f"message part violates the run-length limit r={r}")
     p_m = y[0] ^ 1
     sigma = _weight(cp, bytes(cp.m) + y, packed)

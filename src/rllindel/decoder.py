@@ -69,21 +69,21 @@ from .front import _nrzi_decode, _wi_decode
 _SYMBOLS = (b"\x00", b"\x01")
 
 
-def _count_before(packed: int, length: int, symbol: int, j: int) -> int:
-    """data[:j].count(symbol), where bit length-1-i of packed holds data[i]."""
-    ones = (packed >> (length - j)).bit_count()
-    return ones if symbol else j - ones
-
-
 def _first(packed: int, length: int, symbol: int, target: int, lo: int, hi: int) -> int:
-    """Smallest j in [lo, hi] with data[:j].count(symbol) == target, or -1."""
+    """Smallest j in [lo, hi] with data[:j].count(symbol) == target, or -1.
+
+    Bit length-1-i of packed holds data[i], so data[:j] holds
+    (packed >> (length - j)).bit_count() ones.
+    """
     while lo < hi:
         mid = (lo + hi) >> 1
-        if _count_before(packed, length, symbol, mid) < target:
+        ones = (packed >> (length - mid)).bit_count()
+        if (ones if symbol else mid - ones) < target:
             lo = mid + 1
         else:
             hi = mid
-    return lo if _count_before(packed, length, symbol, lo) == target else -1
+    ones = (packed >> (length - lo)).bit_count()
+    return lo if (ones if symbol else lo - ones) == target else -1
 
 
 def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
@@ -107,7 +107,7 @@ def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
     # (index, symbol): the symbol removed at index p, or inserted before it
     edits = []
     # shift: weight the symbols after the edit lose (gained) or gain (lost) moving one place
-    shift = ones - _count_before(packed, length, 1, lo + gained)
+    shift = ones - (packed >> (length - lo - gained)).bit_count()
     for p in range(lo - 1, -1, -1):
         shift += (coeffs[p + 1] - coeffs[p]) * data[p + gained]
         if shift % modulus == edit:

@@ -4,8 +4,9 @@ Each function here is the plain, slow form of something the package does
 faster: the O(n) scan over every edit that decoder.candidates replaces, the
 restart-from-symbol-0 replacement loop that front._wi_encode replaces, the
 one-bytearray undo loop that front._wi_decode replaces, the
-solve-then-splice parity that code._parity replaces, and the run statistics
-the run-limit predicates are checked against. The package never imports this
+solve-then-splice parity that code._parity replaces, the symbol-by-symbol
+embedder that code._embed replaces, and the run statistics the run-limit
+predicates are checked against. The package never imports this
 module.
 """
 from __future__ import annotations
@@ -145,6 +146,28 @@ def reference_parity_word(cp, p_rhat: int, p_m: int, sigma: int) -> bytes:
     q = le_encode(residue, cp.r_hat + 1).tobytes()
     split = cp.r_hat - 1
     return q[:split] + bytes((p_rhat,)) + q[split:] + bytes((p_m,))
+
+
+def reference_embed(cp, y: bytes) -> bytes:
+    """The codeword for message part y, with every run counted and every symbol weighed.
+
+    The reference that code._embed, which from 200 symbols on checks the run
+    limit and weighs y on its packing, is tested against: the same parity
+    drafts and the same errors, found one symbol at a time.
+    """
+    r = cp.r
+    if max_run_length(BitSeq(y)) > r:
+        raise DataError(f"message part violates the run-length limit r={r}")
+    # y sits at positions m+1 .. n, whose coefficients are a_(m+1) .. a_n
+    sigma = sum(a for a, symbol in zip(_coefficients(cp.n, cp.r_hat, cp.d)[cp.m :], y) if symbol)
+    for p_rhat in (0, 1):
+        p = reference_parity_word(cp, p_rhat, y[0] ^ 1, sigma)
+        if max_run_length(BitSeq(p)) <= r:
+            return p + y
+    raise InvariantError(
+        f"fallback parity still violates the run-length limit at "
+        f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
+    )
 
 
 def max_run_length(s: BitSeq) -> int:

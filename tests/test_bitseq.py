@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from rllindel.bitseq import (
     BitSeq,
+    _run_over,
+    _run_patterns,
     is_rll,
     is_zero_constrained,
     le_decode,
@@ -138,6 +140,17 @@ class TestRunStatistics:
     def test_is_zero_constrained_matches_statistic(self, raw, r):
         s = BitSeq(raw)
         assert is_zero_constrained(s, r) == (max_zero_run(s) < r)
+
+
+class TestPackedRunLimit:
+    def test_every_word_to_length_12_against_the_byte_searches(self):
+        for size in range(13):
+            for packed in range(1 << size):
+                # the first symbol is the most significant bit
+                data = bytes(packed >> (size - 1 - i) & 1 for i in range(size))
+                for r in range(1, size + 2):
+                    zeros, ones = _run_patterns(r, size)
+                    assert _run_over(packed, size, r) == (zeros in data or ones in data)
 
 
 class TestLittleEndian:

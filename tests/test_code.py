@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllindel.bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, is_rll
+from rllindel.bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_over, _run_patterns, is_rll
 from rllindel.code import (
     _MASK_SETS,
     _SLICED_FROM,
     CodeParams,
     _coefficients,
+    _embed,
     _index_masks,
     _parity,
     _sliced_sum,
@@ -29,10 +30,10 @@ from rllindel.code import (
     raw_params,
 )
 from rllindel.decoder import decode_message
-from rllindel.errors import DataError, InvariantError, ValidationError
+from rllindel.errors import CodecError, DataError, InvariantError, ValidationError
 from rllindel.front import FrontParams, nrzi_encode, wi_encode
 
-from reference import reference_parity_word
+from reference import reference_embed, reference_parity_word
 
 EXAMPLE_CP = dict(k=14, r=4, d=6, b=31)
 EXAMPLE_Y = BitSeq("10100001000010")
@@ -387,6 +388,87 @@ class TestEmbed:
         for y in (BitSeq("10100001000010"), BitSeq("01011110111101")):
             z = embed_encode(cp, y)
             assert z[cp.m - 1] != y[0]
+
+
+def _outcome(call, *args):
+    """The codeword bytes a call returns, or the class and text of its error."""
+    try:
+        result = call(*args)
+    except CodecError as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, bytes) else result.tobytes()
+
+
+def _planted(k, symbol, length, where):
+    """An alternating k-symbol word with one run of length symbols at the start, middle or end.
+
+    Its other runs are at most 2 symbols long.
+    """
+    start = {"first": 0, "middle": (k - length) // 2, "last": k - length}[where]
+    y = bytearray(i & 1 for i in range(k))
+    y[start : start + length] = bytes((symbol,)) * length
+    # the symbols either side close the run
+    if start:
+        y[start - 1] = symbol ^ 1
+    if start + length < k:
+        y[start + length] = symbol ^ 1
+    return bytes(y)
+
+
+# (k, r_hat) at code lengths n = 199, 200, 201, 262 and 4015: below, at and
+# above _SLICED_FROM, from which _embed checks the run limit on y's packing,
+# the campaign's n and the longest benchmarked block
+CROSSOVER = [(188, 8), (189, 8), (190, 8), (251, 8), (4000, 12)]
+
+
+class TestPackedRunCheck:
+    """_embed's run check on the packed word against the byte searches and the reference embed."""
+
+    @pytest.mark.parametrize("k", [199, 200, 4000])
+    def test_planted_runs(self, k):
+        r_hat = (k + 1).bit_length()
+        for r in (r_hat, r_hat + 5):
+            cp = derive_params(k, r, b=k % 97)
+            zeros, ones = _run_patterns(r, cp.n)
+            for symbol in (0, 1):
+                for where in ("first", "middle", "last"):
+                    for length in (r, r + 1):
+                        y = _planted(k, symbol, length, where)
+                        packed = int(y.translate(_TO_ASCII), 2)
+                        assert _run_over(packed, k, r) == (zeros in y or ones in y) == (length > r)
+                        want = _outcome(reference_embed, cp, y)
+                        assert _outcome(embed_encode, cp, BitSeq(y)) == want
+                        assert _outcome(_embed, cp, y, packed) == want
+                        if length > r:
+                            assert want == (
+                                DataError,
+                                f"message part violates the run-length limit r={r}",
+                            )
+
+    @pytest.mark.parametrize("k, r_hat", CROSSOVER)
+    def test_embed_encode_at_the_crossover(self, k, r_hat):
+        # r >= k cannot bind a k-symbol message part; r = k - 1 rejects a constant one
+        rng = random.Random(k)
+        for r in (r_hat, r_hat + 3, k - 1, k, k + r_hat + 3):
+            cp = derive_params(k, r, b=rng.randrange(1 << r_hat))
+            words = [bytes(k), bytes((1,)) * k]
+            words += [bytes(rng.getrandbits(1) for _ in range(k)) for _ in range(4)]
+            words += [_planted(k, 1, min(r + 1, k), "middle"), _planted(k, 0, min(r, k), "last")]
+            for y in words:
+                assert _outcome(embed_encode, cp, BitSeq(y)) == _outcome(reference_embed, cp, y)
+
+    @pytest.mark.parametrize("k, r_hat", CROSSOVER)
+    def test_encode_message_at_the_crossover(self, k, r_hat):
+        rng = random.Random(k)
+        for r in (r_hat, r_hat + 3, k - 1, k, k + r_hat + 3):
+            cp = derive_params(k, r, b=rng.randrange(1 << r_hat))
+            fp = FrontParams(k, r)
+            messages = [BitSeq(bytes(k - 1)), BitSeq(bytes((1,)) * (k - 1))]
+            messages += [BitSeq(bytes(rng.getrandbits(1) for _ in range(k - 1))) for _ in range(3)]
+            for u in messages:
+                y = nrzi_encode(wi_encode(u, fp)).tobytes()
+                want = _outcome(reference_embed, cp, y)
+                assert _outcome(encode_message, u, k, r, cp.d, cp.b) == want
 
 
 class TestPipelineEncode:
