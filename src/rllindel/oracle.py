@@ -64,9 +64,9 @@ _ENUM_CAP = 24
 _SIDC_CAP = 16
 _ROUNDTRIP_CAP = 15
 # Fewest trials worth a forked campaign job. Forking, piping and reaping one
-# child cost 2.4-4.0 ms on a 2-vCPU host (Python 3.11.7), the time of 40-52
-# trials at the cheapest parameters (k = 7 to 60, 64-82 us a trial); a k = 4000
-# trial (380-400 us) pays for a fork in 7-9.
+# child cost 1.3-2.1 ms on a 2-vCPU host (Python 3.11.7), the time of 41-57
+# trials at the cheapest parameters (k = 7, 29-46 us a trial; k = 60 takes
+# 36-58 us); a k = 4000 trial (170-350 us) pays for a fork in 5-11.
 _MIN_TRIALS_PER_JOB = 50
 
 

@@ -1,6 +1,6 @@
 """Single-indel correction and full message decoding."""
 import random
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from rllindel.bitseq import BitSeq
 from rllindel.channel import DELETION, INSERTION, ChannelEvent, apply_event, random_event
 from rllindel.code import d_range, derive_params, embed_encode, encode_message, raw_params
-from rllindel.decoder import candidates, correct, decode_message
+from rllindel import decoder
+from rllindel.decoder import _first, candidates, correct, decode_message
 from rllindel.errors import DataError, UncorrectableError, ValidationError
 from rllindel.front import FrontParams, front_encode
 from rllindel.oracle import enumerate_codewords
@@ -178,3 +179,98 @@ class TestLocatorMatchesReference:
         assert correct(derive_params(7, 4), BitSeq("0" * 14 + "1")) == BitSeq("0" * 14)
         cp = derive_params(7, 4, d=7, b=4)
         assert correct(cp, BitSeq("000000001111111")) == BitSeq("00000000111111")
+
+
+def _packed(data: bytes) -> int:
+    """data packed one bit per symbol, data[0] highest, as the decoder packs it."""
+    return int("0" + "".join(map(str, data)), 2)
+
+
+def _linear_first(data: bytes, symbol: int, lo: int, hi: int) -> dict[int, int]:
+    """Each count c to the smallest j in [lo, hi] with data[:j].count(symbol) == c, by a scan."""
+    count = data[:lo].count(symbol)
+    first = {count: lo}
+    for j in range(lo, hi):
+        count += data[j] == symbol
+        first.setdefault(count, j + 1)
+    return first
+
+
+class _CountingInt(int):
+    """An int that counts the right shifts taken of it: one per locator probe."""
+
+    shifts = 0
+
+    def __rshift__(self, other):
+        _CountingInt.shifts += 1
+        return int.__rshift__(self, other)
+
+
+def _probe_bound(width: int) -> int:
+    # a midpoint follows every interpolated probe and halves the bracket
+    return 2 * (width - 1).bit_length() if width else 0
+
+
+def _adversarial_words(n: int) -> dict[str, bytes]:
+    half = n // 2
+    words = {"zeros": bytes(n), "ones": b"\x01" * n}
+    for a in (1, half, n - 1):
+        words[f"0^{a} 1^{n - a}"] = bytes(a) + b"\x01" * (n - a)
+        words[f"1^{a} 0^{n - a}"] = b"\x01" * a + bytes(n - a)
+    words["alternating"] = (b"\x00\x01" * half + b"\x00")[:n]
+    rng = random.Random(n)
+    words["P(1) = 1/64"] = bytes(rng.random() < 1 / 64 for _ in range(n))
+    return words
+
+
+# n = 4015 is the encoder's length at k = 4000, whose affine region starts at index 13
+ADVERSARIAL = _adversarial_words(4015)
+
+
+def _check_first(data: bytes, brackets, targets) -> None:
+    """_first against the linear scan, within the probe bound, at each bracket and target."""
+    n = len(data)
+    packed = _CountingInt(_packed(data))
+    for symbol in (0, 1):
+        counts = [0, *accumulate(x == symbol for x in data)]
+        for lo, hi in brackets:
+            first = _linear_first(data, symbol, lo, hi)
+            for target in targets:
+                _CountingInt.shifts = 0
+                got = _first(packed, n, symbol, target, lo, hi, counts[lo], counts[hi])
+                assert got == first.get(target, -1), (symbol, target, lo, hi)
+                assert _CountingInt.shifts <= _probe_bound(hi - lo)
+
+
+class TestFirst:
+    @pytest.mark.parametrize("n", range(11))
+    def test_every_short_word_bracket_and_target(self, n):
+        brackets = [(lo, hi) for hi in range(n + 1) for lo in range(hi + 1)]
+        for word in product((0, 1), repeat=n):
+            _check_first(bytes(word), brackets, range(-1, n + 2))
+
+    @pytest.mark.parametrize("name", ADVERSARIAL)
+    def test_adversarial_long_words(self, name):
+        data = ADVERSARIAL[name]
+        n = len(data)
+        _check_first(data, [(0, n), (13, n), (13, n - 1), (1000, 1001)], range(-1, n + 2))
+
+    def test_probes_on_words_one_indel_from_random_codewords(self, monkeypatch):
+        # a bisection makes 12.8 probes a search here, and this search about 3
+        searches = 0
+
+        def counted(packed, *args):
+            nonlocal searches
+            searches += 1
+            return _first(_CountingInt(packed), *args)
+
+        monkeypatch.setattr(decoder, "_first", counted)
+        _CountingInt.shifts = 0
+        rng = random.Random(4000)
+        cp = derive_params(4000, 12)
+        for _ in range(100):
+            u = BitSeq([rng.getrandbits(1) for _ in range(3999)])
+            z = encode_message(u, 4000, 12)
+            received = apply_event(z, random_event(len(z), rng.getrandbits(63)))
+            assert correct(cp, received) == z
+        assert _CountingInt.shifts / searches < 4.5
