@@ -122,7 +122,8 @@ def candidates(cp: CodeParams, data: bytes) -> set[bytes]:
     length = len(data)
     gained = length == cp.n + 1
     # one bit per symbol: a shift and a popcount then count the ones of any
-    # prefix without a data-dependent branch per symbol
+    # prefix without a data-dependent branch per symbol; an int.from_bytes
+    # pack gathering 8 symbols a byte was slower here at n = 69 and n = 4015
     packed = int(data.translate(_TO_ASCII), 2)
     weight = _weight(cp, data, packed)
     ones = packed.bit_count()

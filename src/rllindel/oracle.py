@@ -64,9 +64,10 @@ _ENUM_CAP = 24
 _SIDC_CAP = 16
 _ROUNDTRIP_CAP = 15
 # Fewest trials worth a forked campaign job. Forking, piping and reaping one
-# child cost 1.3-2.1 ms on a 2-vCPU host (Python 3.11.7), the time of 41-57
-# trials at the cheapest parameters (k = 7, 29-46 us a trial; k = 60 takes
-# 36-58 us); a k = 4000 trial (170-350 us) pays for a fork in 5-11.
+# child cost 1.4-1.6 ms (median of 30; up to 3.4 ms) on one pinned CPU of a
+# 2-vCPU host (Python 3.11.7), the time of 28-56 trials at the cheapest
+# parameters (k = 7, 28-49 us a trial; k = 60 takes 37-63 us); a k = 4000
+# trial (145-200 us) pays for a fork in 7-11.
 _MIN_TRIALS_PER_JOB = 50
 
 
@@ -192,10 +193,13 @@ def check_sidc_range(n_min: int, n_max: int, r_hat: int, d: int, b: int | None =
 
 
 def _random_word(stream: Stream, bits: int) -> BitSeq:
-    """bits random symbols: symbol j is bit j of the next ceil(bits/64) outputs, first lowest."""
-    value = 0
-    for w in range((bits + 63) // 64):
-        value |= stream.next() << (64 * w)
+    """bits random symbols: symbol j is bit j of the next ceil(bits/64) outputs, first lowest.
+
+    The outputs come from one Stream.next_packed draw, which mixes them all
+    in one lane-parallel big-int pass, so the draw is O(bits) and not
+    O(bits^2/64) as OR-ing scalar outputs into a growing int would be.
+    """
+    value = stream.next_packed((bits + 63) // 64)
     return le_encode(value & ((1 << bits) - 1), bits)
 
 

@@ -1,4 +1,6 @@
 """Deterministic indel channel: the mixing stream and event machinery."""
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +64,19 @@ class TestStream:
         for seed in (0, 1, 2**64 - 1):
             a, b = Stream(seed), Stream(seed)
             assert [a.below(2**64) for _ in range(5)] == [b.next() for _ in range(5)]
+
+    # 0 and 2^64 - 1 are the ends of the state range; from 2^64 - gamma the
+    # first lane's state wraps to exactly 0, and later lanes wrap in turn
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 2**64 - 1, 2**64 - 0x9E3779B97F4A7C15]
+        + [random.Random(seed).getrandbits(64) for seed in range(4)],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 63, 64, 65, 200])
+    def test_next_packed_is_count_scalar_outputs(self, seed, count):
+        packed, scalar = Stream(seed), Stream(seed)
+        assert packed.next_packed(count) == sum(scalar.next() << (64 * i) for i in range(count))
+        assert packed.next() == scalar.next()
 
     def test_trial_seed_known_values(self):
         assert trial_seed(0, 0) == 16294208416658607535

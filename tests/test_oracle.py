@@ -552,6 +552,15 @@ class TestRandomWord:
         stream = Stream(trial_seed(seed, index))
         assert str(_random_word(stream, len(expected))) == expected
 
+    def test_pinned_63_output_word(self):
+        # a k = 4000 campaign message: 63 outputs, then the stream's next output
+        stream = Stream(trial_seed(5, 18))
+        word = str(_random_word(stream, 3999))
+        assert hashlib.sha256(word.encode()).hexdigest() == (
+            "0d6279f6a39d616612f7745c7acc29edc3716420a086c484de2def97542265e3"
+        )
+        assert stream.next() == 7868552283923489127
+
 
 class TestReportFormat:
     def test_pass_lines(self):
