@@ -29,7 +29,7 @@ from collections import namedtuple
 from itertools import compress
 
 from .bitseq import BitSeq, is_rll
-from .code import CodeParams, _coefficients, d_range
+from .code import CodeParams, _check_r_hat, _coefficients, d_range
 from .errors import DataError, InvariantError, ValidationError
 from .front import feasibility_bound
 from .oracle import Report, _words
@@ -119,8 +119,7 @@ def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
     Generated by direct filter over all 2^(r_hat + 3) words, in lexicographic
     order, so the set is definitional rather than transcribed.
     """
-    if r_hat < 4:
-        raise ValidationError(f"r_hat must be at least 4 (got {r_hat})")
+    _check_r_hat(r_hat)
     if last_symbol not in (0, 1):
         raise DataError(f"last symbol must be 0 or 1 (got {last_symbol})")
     words = (BitSeq._wrap(data) for data in _words(r_hat + 3) if data[-1] == last_symbol)

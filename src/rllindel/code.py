@@ -13,9 +13,12 @@ The affine formula already holds at i = r_hat+2, since a_(r_hat+2) = 2^r_hat,
 so every coefficient step a_(i+1) - a_i from i = r_hat+2 on is 1; the decoder
 relies on this. It also makes the weighted sum cheap on long words: with the
 word packed one bit per symbol into an int, the affine part weighs
-(2^r_hat - r_hat - 1) times its ones plus the sum of its 0-based indices,
-and that index sum is sum_t 2^t * popcount(word & M_t), where the mask M_t
-marks the indices with bit t set (cached for at most _MASK_SETS lengths).
+(2^r_hat - r_hat - 1) times its c ones plus the sum of their 0-based
+indices. Index i of a length-L word sits at bit L - 1 - i of the int, so
+that index sum is (L - 1) * c - sum_t 2^t * popcount(affine & M_t), where
+the mask M_t marks the bits with bit t set. Indexed from the word's end, the
+masks do not depend on L, so one set, cached per bit width, serves every
+length of that width.
 That is ceil(log2 n) ANDs and popcounts in place of one pass over n
 coefficients (_sliced_sum), and it reads only the r_hat + 2 head
 coefficients. _weight is the codec's one weighted sum: below the measured
@@ -77,11 +80,6 @@ from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 # it (0.9-1.1 us at k = 60-120) costs more than the byte searches (0.6-1.1
 # us); at k = 4000 the check on a held int takes 2-3 us against 15 us.
 _SLICED_FROM = 200
-
-# The most mask sets _index_masks keeps, one per word length: the lengths
-# n - 1, n and n + 1 that decoding weighs, for four codes in use at once. One
-# set at n = 10^6 holds about 2.3 MiB, so the cache must not grow per length.
-_MASK_SETS = 12
 
 
 class CodeParams(namedtuple("CodeParams", "k r_hat r d b m n modulus")):
@@ -209,13 +207,17 @@ def _coefficients(n: int, r_hat: int, d: int) -> tuple[int, ...]:
     return tuple(coefficient_value(i, r_hat, d) for i in range(1, n + 2))
 
 
-@lru_cache(maxsize=_MASK_SETS)
-def _index_masks(length: int) -> tuple[int, ...]:
-    """Mask t holds, in the packed layout, every index i < length with bit t set."""
-    return tuple(
-        int((("0" * h + "1" * h) * (length // (2 * h) + 1))[:length], 2)
-        for h in (1 << t for t in range((length - 1).bit_length()))
-    )
+@lru_cache(maxsize=None)
+def _index_masks(bits: int) -> tuple[int, ...]:
+    """Mask t, for t < bits, sets every bit j < 2^bits whose bit t is set.
+
+    Bit 0 is the word's last symbol, so index i of a length-L word with
+    L <= 2^bits sits at bit L - 1 - i, and one set serves every such length:
+    the indices of the c ones of affine sum to
+    (L - 1) * c - sum_t 2^t * popcount(affine & M_t). The cache needs no
+    bound: the sets of all widths up to bits hold less than twice this set.
+    """
+    return tuple(int(("1" * 2**t + "0" * 2**t) * 2 ** (bits - 1 - t), 2) for t in range(bits))
 
 
 def _sliced_sum(cp: CodeParams, data: bytes, packed: int) -> int:
@@ -225,17 +227,18 @@ def _sliced_sum(cp: CodeParams, data: bytes, packed: int) -> int:
     int(data.translate(_TO_ASCII), 2). The head symbols, the first r_hat + 2,
     are summed directly over the head table a_1 .. a_(r_hat+2). From 0-based
     index r_hat + 1 on, the coefficient at index i is base + i with
-    base = 2^r_hat - r_hat - 1, so each 1 after the head (the affine part)
-    weighs base plus its index, and the index sum is
-    sum_t 2^t * popcount(affine & mask_t).
+    base = 2^r_hat - r_hat - 1, so each of the c ones after the head (the
+    affine part) weighs base plus its index, and, with L = len(data), the
+    index sum is (L - 1) * c - sum_t 2^t * popcount(affine & mask_t).
     """
     r_hat = cp.r_hat
     length = len(data)
     affine = packed & ((1 << max(length - r_hat - 2, 0)) - 1)
     weight = sum(compress(_coefficients(r_hat + 1, r_hat, cp.d), data))
-    weight += ((1 << r_hat) - r_hat - 1) * affine.bit_count()
-    for t, mask in enumerate(_index_masks(length)):
-        weight += (affine & mask).bit_count() << t
+    # each one weighs base + L - 1 less its bit position
+    weight += ((1 << r_hat) - r_hat - 2 + length) * affine.bit_count()
+    for t, mask in enumerate(_index_masks((length - 1).bit_length())):
+        weight -= (affine & mask).bit_count() << t
     return weight
 
 
@@ -358,17 +361,6 @@ def encode_message(u: BitSeq, k: int, r: int, d: int | None = None, b: int | Non
 
 def params_text(cp: CodeParams) -> str:
     """Key=value serialization of the bundle plus the valid d range."""
-    d_lo, d_hi = d_range(cp.r_hat)
-    lines = [
-        f"k={cp.k}",
-        f"r_hat={cp.r_hat}",
-        f"r={cp.r}",
-        f"d={cp.d}",
-        f"b={cp.b}",
-        f"m={cp.m}",
-        f"n={cp.n}",
-        f"modulus={cp.modulus}",
-        f"d_min={d_lo}",
-        f"d_max={d_hi}",
-    ]
-    return "\n".join(lines) + "\n"
+    d_min, d_max = d_range(cp.r_hat)
+    pairs = (*zip(cp._fields, cp), ("d_min", d_min), ("d_max", d_max))
+    return "".join(f"{key}={value}\n" for key, value in pairs)

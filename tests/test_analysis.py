@@ -174,8 +174,12 @@ class TestForbiddenParities:
                     assert "11111" in text and p[3] == 1
 
     def test_guards(self):
-        with pytest.raises(ValidationError):
-            forbidden_parities(3, 0)
+        # the same text as every other r_hat check, and before the symbol check
+        for last_symbol in (0, 2):
+            with pytest.raises(
+                ValidationError, match=r"^shape parameter must be at least 4 \(got r_hat=3\)$"
+            ):
+                forbidden_parities(3, last_symbol)
         with pytest.raises(DataError):
             forbidden_parities(4, 2)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rllindel.bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_over, _run_patterns, is_rll
 from rllindel.code import (
-    _MASK_SETS,
     _SLICED_FROM,
     CodeParams,
     _coefficients,
@@ -100,9 +99,9 @@ class TestDeriveParams:
             derive_params(14, 4, b=-1)
 
     def test_params_text_block(self):
-        text = params_text(derive_params(**EXAMPLE_CP))
-        for line in ("k=14", "r_hat=4", "d=6", "b=31", "n=21", "modulus=32", "d_min=5", "d_max=7"):
-            assert line in text.splitlines()
+        assert params_text(derive_params(**EXAMPLE_CP)) == (
+            "k=14\nr_hat=4\nr=4\nd=6\nb=31\nm=7\nn=21\nmodulus=32\nd_min=5\nd_max=7\n"
+        )
 
 
 class TestCoefficients:
@@ -218,8 +217,9 @@ def _summed_lengths(cp):
     return [(length, start) for length, start in pairs if length >= 1]
 
 
-# code lengths straddling the one threshold, plus the longest benchmarked block
-STRADDLING = [*range(_SLICED_FROM - 2, _SLICED_FROM + 3), 4015]
+# code lengths straddling the one threshold, lengths whose n - 1, n and n + 1
+# straddle the mask widths 2^8 and 2^12, and the longest benchmarked block
+STRADDLING = [*range(_SLICED_FROM - 2, _SLICED_FROM + 3), 256, 4015, 4096]
 
 
 class TestSlicedSum:
@@ -229,7 +229,9 @@ class TestSlicedSum:
     def test_every_length_to_64(self, r_hat):
         rng = random.Random(r_hat)
         for d in d_range(r_hat):
-            for n in range(1, 65):
+            # and the STRADDLING code lengths, among them 256 and 4096, whose
+            # n - 1 and n + 1 take mask sets of two widths
+            for n in (*range(1, 65), *STRADDLING):
                 cp = raw_params(n, r_hat, d)
                 for length, start in _summed_lengths(cp):
                     for data in (
@@ -292,10 +294,11 @@ class TestSlicedSum:
 
     def test_mask_cache_stays_bounded(self):
         # one encode and three decodes (intact, one deletion, one insertion) at
-        # 40 long lengths weigh 120 word lengths; the cache keeps at most
-        # _MASK_SETS mask sets, and a code in use keeps its three lengths cached
+        # 40 long lengths weigh 120 word lengths; the cache keeps one mask set
+        # per bit width among them, and repeat decodes build no set
         _index_masks.cache_clear()
         rng = random.Random(40)
+        widths = set()
         for k in range(200, 4200, 100):
             cp = derive_params(k, 13)
             u = BitSeq(bytes(rng.getrandbits(1) for _ in range(k - 1)))
@@ -303,12 +306,25 @@ class TestSlicedSum:
             received = (z, z[:7] + z[8:], z[:7] + BitSeq([1 - z[7]]) + z[7:])
             for word in received:
                 assert decode_message(cp, word) == u
+                widths.add((len(word) - 1).bit_length())
             misses = _index_masks.cache_info().misses
             for word in received:
                 assert decode_message(cp, word) == u
             assert _index_masks.cache_info().misses == misses
-            assert _index_masks.cache_info().currsize <= _MASK_SETS
-        assert _index_masks.cache_info().maxsize == _MASK_SETS
+            assert _index_masks.cache_info().currsize == len(widths)
+
+    @pytest.mark.parametrize("k, sets", [(4000, 1), (4081, 2)])
+    def test_one_mask_set_per_bit_width(self, k, sets):
+        # n = 4015: n - 1, n and n + 1 all have 12 bits, so one set serves
+        # them; n = 4096: n + 1 = 4097 has 13 bits and takes a second set
+        cp = derive_params(k, 12)
+        rng = random.Random(k)
+        u = BitSeq(bytes(rng.getrandbits(1) for _ in range(k - 1)))
+        _index_masks.cache_clear()
+        z = encode_message(u, k, 12)
+        for word in (z, z[:2000] + z[2001:], z[:3000] + BitSeq("1") + z[3000:]):
+            assert decode_message(cp, word) == u
+        assert _index_masks.cache_info().currsize == sets
 
 
 class TestParity:
