@@ -30,11 +30,10 @@ class BitSeq:
             self._data = bits._data
         elif isinstance(bits, str):
             self._data = _from_text(bits)
-        elif isinstance(bits, (bytes, bytearray)):
-            data = bytes(bits)
-            _check_symbols(data)
-            self._data = data
+        elif isinstance(bits, (bytes, bytearray)) and not bits.translate(None, b"\x00\x01"):
+            self._data = bytes(bits)
         else:
+            # also names the first foreign byte of a bytes input
             self._data = _from_ints(bits)
 
     @classmethod
@@ -114,13 +113,6 @@ def _from_ints(bits: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def _check_symbols(data: bytes) -> None:
-    if data.translate(None, b"\x00\x01"):
-        for pos, value in enumerate(data, start=1):
-            if value > 1:
-                raise DataError(f"symbol at position {pos} is {value}, expected 0 or 1")
-
-
 def _run_patterns(r: int, n: int) -> tuple[bytes, bytes]:
     """The two runs one longer than the limit r, 0^(r+1) and 1^(r+1), for n-symbol words.
 
@@ -134,7 +126,7 @@ def _run_patterns(r: int, n: int) -> tuple[bytes, bytes]:
 
 
 def _run_over(packed: int, size: int, r: int) -> bool:
-    """True iff the size-symbol word packed one bit per symbol holds a run longer than r >= 1.
+    """True iff the size-symbol word packed one bit per symbol holds a run longer than r.
 
     packed holds the first symbol as its most significant bit. A run longer
     than r is r equal neighbour pairs in a row, that is r ones in a row
@@ -143,6 +135,8 @@ def _run_over(packed: int, size: int, r: int) -> bool:
     ceil(log2 r) big-int shifts and ANDs, where each byte search for a
     _run_patterns run walks the word about one byte a step.
     """
+    if r < 1:
+        raise ValidationError(f"run limit must be at least 1 (got r={r})")
     if r >= size:
         return False
     # bit i is 1 where the symbols i and i + 1 places before the end are equal
@@ -176,13 +170,14 @@ def le_encode(x: int, k: int) -> BitSeq:
 
     x must satisfy 0 <= x <= 2^k - 1. The binary text of x, reversed, gives
     the symbols in time linear in k; the same word read backwards is the
-    most-significant-first form.
+    most-significant-first form. A 1 set above x's k bits pads the text to
+    k + 1 characters, and reversed and less that last 1 it has exactly k.
     """
     if k < 1:
         raise ValidationError(f"width must be at least 1 (got k={k})")
     if x < 0 or x.bit_length() > k:
         raise DataError(f"value x={x} is outside [0, 2^{k} - 1]")
-    return BitSeq._wrap(format(x, "b").zfill(k).encode("ascii")[::-1].translate(_FROM_ASCII))
+    return BitSeq._wrap(format(x | 1 << k, "b")[:0:-1].encode().translate(_FROM_ASCII))
 
 
 def le_decode(s: BitSeq) -> int:

@@ -42,16 +42,17 @@ once, weighs the message part once, and lays out each m-symbol parity draft
 with one format of its little-endian value, p_rhat and p_m shifted into
 place. Only the public functions check lengths and build a BitSeq, one per
 call; encode_message chains the front end's bytes functions into _embed and
-wraps once. Where the word is packed: below _SLICED_FROM symbols nowhere on
-the encode path, as _weight takes the bytes and the run limit is two byte
-searches over y. From _SLICED_FROM on, encode_message packs the front end's
-word once, one bit per symbol, and front._nrzi_packed runs NRZI on that int
-and unpacks it once for the output; _embed checks y's run limit on the same
-int (bitseq._run_over, about ceil(log2 r) shifts and ANDs where the two
-searches each walk y about one byte a step) and hands it to _weight, since m
-zero parity symbols ahead of y leave y's packing unchanged. The public
-embed_encode passes bytes alone, and from _SLICED_FROM on _embed packs them
-once itself for both. The m-symbol parity drafts stay bytes and are searched.
+wraps once. The message part's run limit is checked only where the part
+comes from outside, in embed_encode; on encode_message's path the front end
+guarantees it. Where the word is packed: embed_encode packs its message part
+once at every length, checks the run limit on that int (bitseq._run_over,
+about ceil(log2 r) shifts and ANDs) and hands it to _weight, since m zero
+parity symbols ahead of y leave y's packing unchanged. encode_message packs
+nothing below _SLICED_FROM symbols, as _weight takes the bytes; from there
+on it packs the front end's word once, one bit per symbol, and
+front._nrzi_packed runs NRZI on that int and unpacks it once for the output,
+and the int goes on to _weight. The m-symbol parity drafts stay bytes and
+are searched.
 
 One CodeParams type describes every code. Its unchecked constructor is the
 only place that derives m = r_hat + 3, n = m + k and the modulus a_(n+1),
@@ -75,10 +76,6 @@ from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 # n = 180 and 220. A caller that holds the word packed already saves the
 # pack, but at n = 161 the two still cost about the same (2.05 us for the
 # pass, 2.21 us for the sliced sum), so one crossover serves every caller.
-# _embed's run check switches here too, as it pays off only on an int that
-# _weight takes as well: below, no int is held, and packing one and checking
-# it (0.9-1.1 us at k = 60-120) costs more than the byte searches (0.6-1.1
-# us); at k = 4000 the check on a held int takes 2-3 us against 15 us.
 _SLICED_FROM = 200
 
 
@@ -304,23 +301,15 @@ def parity_word(cp: CodeParams, p_rhat: int, p_m: int, y: BitSeq) -> BitSeq:
 
 
 def _embed(cp: CodeParams, y: bytes, packed: int | None = None) -> bytes:
-    """embed_encode on raw bytes, after its length check: the codeword's symbols.
+    """The codeword's symbols for a k-symbol message part y within the run limit.
 
-    packed, if given, is y packed one bit per symbol, which is also the
-    packing of the m zero parity symbols and y that _weight takes. From
-    _SLICED_FROM symbols on, y is packed here if it is not given, and its run
-    limit is checked on that int rather than by two byte searches over y.
+    The caller answers for y's run limit: embed_encode checks the message
+    part it is given, and on encode_message's path the front end leaves no
+    run of r zeros, which NRZI turns into runs of at most r. packed, if
+    given, is y packed one bit per symbol, which is also the packing of the
+    m zero parity symbols and y that _weight takes.
     """
-    r = cp.r
-    zeros, ones = _run_patterns(r, cp.n)
-    if cp.n < _SLICED_FROM:
-        too_long = zeros in y or ones in y
-    else:
-        if packed is None:
-            packed = int(y.translate(_TO_ASCII), 2)
-        too_long = _run_over(packed, cp.k, r)
-    if too_long:
-        raise DataError(f"message part violates the run-length limit r={r}")
+    zeros, ones = _run_patterns(cp.r, cp.n)
     p_m = y[0] ^ 1
     sigma = _weight(cp, bytes(cp.m) + y, packed)
     # the first draft fixes position r_hat to 0, the fallback flips it to 1
@@ -330,22 +319,28 @@ def _embed(cp: CodeParams, y: bytes, packed: int | None = None) -> bytes:
             return p + y
     raise InvariantError(
         f"fallback parity still violates the run-length limit at "
-        f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
+        f"(k={cp.k}, r={cp.r}, d={cp.d}, b={cp.b})"
     )
 
 
 def embed_encode(cp: CodeParams, y: BitSeq) -> BitSeq:
     """Embed a run-length-limited message part behind a solved parity part.
 
-    The first parity draft fixes position r_hat to 0; if the draft carries a
-    run longer than r, position r_hat is flipped to 1 and the congruence is
-    re-solved with the same message-part weight. The separator p_m = y_1 xor 1
-    keeps parity and message runs from merging, so the result is a codeword
-    within the run-length limit.
+    The message part comes from outside the pipeline, so its length and run
+    limit are checked here, the run limit on its packing (bitseq._run_over),
+    which _weight then takes as well. The first parity draft fixes position
+    r_hat to 0; if the draft carries a run longer than r, position r_hat is
+    flipped to 1 and the congruence is re-solved with the same message-part
+    weight. The separator p_m = y_1 xor 1 keeps parity and message runs from
+    merging, so the result is a codeword within the run-length limit.
     """
     if len(y) != cp.k:
         raise DataError(f"message-part length {len(y)} != k = {cp.k}")
-    return BitSeq._wrap(_embed(cp, y.tobytes()))
+    data = y.tobytes()
+    packed = int(data.translate(_TO_ASCII), 2)
+    if _run_over(packed, cp.k, cp.r):
+        raise DataError(f"message part violates the run-length limit r={cp.r}")
+    return BitSeq._wrap(_embed(cp, data, packed))
 
 
 def encode_message(u: BitSeq, k: int, r: int, d: int | None = None, b: int | None = None) -> BitSeq:

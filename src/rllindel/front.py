@@ -122,8 +122,8 @@ gives no replacements, as for about 63% of uniform words at k = 60 and 250.
 _nrzi_encode's prefix XOR runs on the word packed one symbol per byte.
 _nrzi_packed packs it one bit per symbol instead and returns that int with
 the bytes: code.encode_message calls it from code._SLICED_FROM symbols on,
-where the embedder's run check and weighted sum take the same int, so the
-word is packed once for all three. Alone, the packed path is no faster: 1.14 against 0.81 us at k = 60
+where the embedder's weighted sum takes the same int, so the word is packed
+once for both. Alone, the packed path is no faster: 1.14 against 0.81 us at k = 60
 and 16.7 against 16.6 us at k = 4000 (timeit, best of 9 over 300 words, one
 pinned CPU of a 2-vCPU host, Python 3.11), so the byte path serves the
 shorter words and the public nrzi_encode, and the gain is the dropped pack.

@@ -151,9 +151,10 @@ def reference_parity_word(cp, p_rhat: int, p_m: int, sigma: int) -> bytes:
 def reference_embed(cp, y: bytes) -> bytes:
     """The codeword for message part y, with every run counted and every symbol weighed.
 
-    The reference that code._embed, which from 200 symbols on checks the run
-    limit and weighs y on its packing, is tested against: the same parity
-    drafts and the same errors, found one symbol at a time.
+    The reference that code.embed_encode, which checks the run limit on y's
+    packing, and code._embed, which from 200 symbols on weighs y on its
+    packing, are tested against: the same parity drafts and the same errors,
+    found one symbol at a time.
     """
     r = cp.r
     if max_run_length(BitSeq(y)) > r:

@@ -151,6 +151,12 @@ class TestPackedRunLimit:
                 for r in range(1, size + 2):
                     zeros, ones = _run_patterns(r, size)
                     assert _run_over(packed, size, r) == (zeros in data or ones in data)
+        # a limit below 1 is rejected with _run_patterns' text, whatever the word
+        for r in (0, -1):
+            for packed in (0b0101, 0b0110):
+                with pytest.raises(ValidationError) as excinfo:
+                    _run_over(packed, 4, r)
+                assert str(excinfo.value) == f"run limit must be at least 1 (got r={r})"
 
 
 class TestLittleEndian:

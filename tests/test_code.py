@@ -163,6 +163,9 @@ class TestWeightedSum:
             raw_params(10, 4, 4, 0)
         with pytest.raises(ValidationError):
             raw_params(10, 4, 6, 21)
+        with pytest.raises(ValidationError) as excinfo:
+            raw_params(0, 4, 6)
+        assert str(excinfo.value) == "code length must be positive (got n=0)"
 
     def test_d_checked_without_building_2_to_the_r_hat(self):
         # an r_hat more than one above d's bit length names the range by its
@@ -386,6 +389,9 @@ class TestEmbed:
         cp = derive_params(**EXAMPLE_CP)
         with pytest.raises(DataError):
             embed_encode(cp, BitSeq("101"))
+        with pytest.raises(DataError) as excinfo:
+            parity_word(cp, 0, 0, EXAMPLE_Y[1:])
+        assert str(excinfo.value) == "message-part length 13 != k = 14"
 
     def test_rejects_non_rll_message_part(self):
         cp = derive_params(**EXAMPLE_CP)
@@ -432,13 +438,17 @@ def _planted(k, symbol, length, where):
 
 
 # (k, r_hat) at code lengths n = 199, 200, 201, 262 and 4015: below, at and
-# above _SLICED_FROM, from which _embed checks the run limit on y's packing,
-# the campaign's n and the longest benchmarked block
+# above _SLICED_FROM, from which encode_message packs the word once for NRZI
+# and the weighted sum, the campaign's n and the longest benchmarked block
 CROSSOVER = [(188, 8), (189, 8), (190, 8), (251, 8), (4000, 12)]
 
 
 class TestPackedRunCheck:
-    """_embed's run check on the packed word against the byte searches and the reference embed."""
+    """embed_encode's run check on the packed word against the byte searches and the reference embed.
+
+    _embed checks no run limit, so it is held to the reference only on message
+    parts within it; encode_message's codewords are run-limited without a check.
+    """
 
     @pytest.mark.parametrize("k", [199, 200, 4000])
     def test_planted_runs(self, k):
@@ -454,12 +464,13 @@ class TestPackedRunCheck:
                         assert _run_over(packed, k, r) == (zeros in y or ones in y) == (length > r)
                         want = _outcome(reference_embed, cp, y)
                         assert _outcome(embed_encode, cp, BitSeq(y)) == want
-                        assert _outcome(_embed, cp, y, packed) == want
                         if length > r:
                             assert want == (
                                 DataError,
                                 f"message part violates the run-length limit r={r}",
                             )
+                        else:
+                            assert _outcome(_embed, cp, y, packed) == want
 
     @pytest.mark.parametrize("k, r_hat", CROSSOVER)
     def test_embed_encode_at_the_crossover(self, k, r_hat):
@@ -483,8 +494,8 @@ class TestPackedRunCheck:
             messages += [BitSeq(bytes(rng.getrandbits(1) for _ in range(k - 1))) for _ in range(3)]
             for u in messages:
                 y = nrzi_encode(wi_encode(u, fp)).tobytes()
-                want = _outcome(reference_embed, cp, y)
-                assert _outcome(encode_message, u, k, r, cp.d, cp.b) == want
+                z = encode_message(u, k, r, cp.d, cp.b)
+                assert z.tobytes() == reference_embed(cp, y) and is_rll(z, r)
 
 
 class TestPipelineEncode:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rllindel import BitSeq, decode_message, derive_params, encode_message
+from rllindel.bitseq import is_rll
 from rllindel.channel import apply_event, random_event
 from rllindel.code import coefficient_value, embed_encode, mu
 from rllindel.decoder import correct
@@ -47,6 +48,8 @@ def test_fused_pipelines_match_the_layer_chain(k, r):
     for u, b, received in cases(k, r, count):
         cp = derive_params(k, r, b=b)
         z = encode_message(u, k, r, b=b)
+        # no check on encode_message's path: the front end and NRZI keep runs within r
+        assert is_rll(z, r)
         assert z == embed_encode(cp, nrzi_encode(wi_encode(u, fp)))
         # position r_hat holds p_rhat, which is 1 only in a fallback parity
         fallbacks += z[cp.r_hat - 1]
