@@ -1,4 +1,5 @@
 """Single-indel correction and full message decoding."""
+import hashlib
 import random
 from itertools import accumulate, product
 
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from rllindel.bitseq import BitSeq
 from rllindel.channel import DELETION, INSERTION, ChannelEvent, apply_event, random_event
-from rllindel.code import d_range, derive_params, embed_encode, encode_message, raw_params
+from rllindel.code import _embed, d_range, derive_params, embed_encode, encode_message, raw_params
 from rllindel import decoder
 from rllindel.decoder import _first, candidates, correct, decode_message
-from rllindel.errors import DataError, UncorrectableError, ValidationError
+from rllindel.errors import CodecError, DataError, UncorrectableError, ValidationError
 from rllindel.front import FrontParams, front_encode
 from rllindel.oracle import enumerate_codewords
 
@@ -274,3 +275,70 @@ class TestFirst:
             received = apply_event(z, random_event(len(z), rng.getrandbits(63)))
             assert correct(cp, received) == z
         assert _CountingInt.shifts / searches < 4.5
+
+
+# (n, k, sha256) for decode_message's outcomes on seeded words: one line per
+# word, the decoded message's text or `ErrorClass: message`. The digests were
+# taken with decode_message on bytes at every length, before it carried long
+# words packed one bit per symbol; n = 899, 900 and 901 straddle the length
+# from which it does (decoder._PACKED_FROM).
+PINNED_OUTCOMES = [
+    (69, 60, "3157da1701dee9e3a83eb3a292509f994b76b66e42830ca3637e84977a2b8ae2"),
+    (262, 251, "859f6799eddcde33dc60426505e6f91a759f501e233a55b153fa93bec8d0f0f4"),
+    (899, 886, "89539cc8305e252a3f34c4079524a4abd84326fbb3f2b8acd6cc2f0b326d50d7"),
+    (900, 887, "45f3564a4ecccc713ca95698a73e01ba60ef5832916b9b7bbe8270151180e0b5"),
+    (901, 888, "778dfc2d9117e08ace36a224480fd74254d042e20abe05a09f48a1677d204aca"),
+    (4015, 4000, "ce21bc0d2c2c864bf19ec326abb880727e2e2f1646ec34751341e876d207c2fd"),
+]
+
+
+def _pinned_words(n, k, count=30):
+    """The code and its seeded received words at length n: seven kinds, count each."""
+    rng = random.Random(f"pinned decode {n}")
+    r = (k + 1).bit_length()
+    cp = _random_params(k, r, rng)
+    assert cp.n == n
+
+    def message():
+        return BitSeq(bytes(rng.getrandbits(1) for _ in range(k - 1)))
+
+    def indel(z):
+        return apply_event(z, random_event(len(z), rng.getrandbits(63)))
+
+    words = []
+    for _ in range(count):
+        words.append(encode_message(message(), k, r, cp.d, cp.b))
+        words.append(indel(encode_message(message(), k, r, cp.d, cp.b)))
+        words.append(indel(indel(encode_message(message(), k, r, cp.d, cp.b))))
+        z = encode_message(message(), k, r, cp.d, cp.b).tobytes()
+        i = rng.randrange(n)
+        words.append(BitSeq(z[:i] + bytes([z[i] ^ 1]) + z[i + 1 :]))
+        length = rng.choice((n - 1, n, n + 1))
+        words.append(BitSeq(bytes(rng.getrandbits(1) for _ in range(length))))
+        # a codeword whose message part is uniform, so the front end sees
+        # words it never emits: runs of r zeros, and counts and pointers that
+        # do not parse
+        for received in range(2):
+            y = bytes(rng.getrandbits(1) for _ in range(k))
+            try:
+                z = BitSeq(_embed(cp, y))
+            except CodecError:
+                continue
+            words.append(indel(z) if received else z)
+    return cp, words
+
+
+def _outcome(cp, word):
+    try:
+        return str(decode_message(cp, word))
+    except CodecError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("n, k, digest", PINNED_OUTCOMES)
+def test_pinned_decode_outcomes(n, k, digest):
+    cp, words = _pinned_words(n, k)
+    h = hashlib.sha256()
+    for word in words:
+        h.update(_outcome(cp, word).encode() + b"\n")
+    assert h.hexdigest() == digest
