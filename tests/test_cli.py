@@ -3,6 +3,7 @@ import argparse
 import errno
 import io
 import os
+import random
 import resource
 import select
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rllindel import cli
+from rllindel import BitSeq, cli, encode_message
 from rllindel.analysis import emit_csv, redundancy_row
 
 CMD = [sys.executable, "-m", "rllindel"]
@@ -203,8 +204,8 @@ NOT_ON_CODEC_PATH = (
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
-def loaded_after(*argvs):
-    """Run cli.main on each argv in a fresh interpreter without site, stdin empty.
+def loaded_after(*argvs, stdin=""):
+    """Run cli.main on each argv in a fresh interpreter without site, stdin as given.
 
     Returns its stdout and which NOT_ON_CODEC_PATH modules it had loaded by
     the end. -S keeps site-packages hooks from loading modules of their own.
@@ -220,7 +221,7 @@ def loaded_after(*argvs):
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, SRC],
-        input="", capture_output=True, text=True, timeout=300,
+        input=stdin, capture_output=True, text=True, timeout=300,
     )
     return result.stdout, result.stderr.split()
 
@@ -234,6 +235,14 @@ class TestImportSet:
             ("corrupt", "--seed", "7"),
         )
         assert stdout.startswith("k=13\n")
+        assert loaded == []
+
+    def test_packed_decode_loads_only_the_codec(self):
+        # a k = 4000 word takes decode_message's packed path
+        u = BitSeq(bytes(random.Random(4000).getrandbits(1) for _ in range(3999)))
+        z = encode_message(u, 4000, 12)
+        stdout, loaded = loaded_after(("decode", "--k", "4000", "--r", "12"), stdin=f"{z}\n")
+        assert stdout == f"{u}\n"
         assert loaded == []
 
     def test_campaign_still_loads_its_digest(self):

@@ -11,7 +11,7 @@ from rllindel.bitseq import BitSeq
 from rllindel.channel import DELETION, INSERTION, ChannelEvent, apply_event, random_event
 from rllindel.code import _embed, d_range, derive_params, embed_encode, encode_message, raw_params
 from rllindel import decoder
-from rllindel.decoder import _first, candidates, correct, decode_message
+from rllindel.decoder import _PACKED_FROM, _correct, _first, candidates, correct, decode_message
 from rllindel.errors import CodecError, DataError, UncorrectableError, ValidationError
 from rllindel.front import FrontParams, front_encode
 from rllindel.oracle import enumerate_codewords
@@ -180,6 +180,78 @@ class TestLocatorMatchesReference:
         assert correct(derive_params(7, 4), BitSeq("0" * 14 + "1")) == BitSeq("0" * 14)
         cp = derive_params(7, 4, d=7, b=4)
         assert correct(cp, BitSeq("000000001111111")) == BitSeq("00000000111111")
+
+
+def _unpacked(z: int, n: int) -> bytes:
+    return bytes(map(int, format(z, f"0{n}b")))
+
+
+def _check_packed_corrector(cp, data):
+    """_correct's packed word, unpacked, is the one word of candidates and the reference."""
+    found = reference_candidates(cp, data)
+    assert candidates(cp, data) == found
+    if len(found) == 1:
+        z = _correct(cp, data, packed=True)
+        assert z.bit_length() <= cp.n
+        assert _unpacked(z, cp.n) == found.pop() == _correct(cp, data)
+    else:
+        assert not found
+        with pytest.raises(UncorrectableError, match="no candidate"):
+            _correct(cp, data, packed=True)
+
+
+# code lengths straddling decoder._PACKED_FROM, and 4096, where n - 1 and
+# n + 1 straddle a power of two
+PACKED_LENGTHS = [(886, 10), (887, 10), (888, 10), (4081, 12)]
+
+
+class TestPackedCorrector:
+    def test_lengths_straddle_the_crossover(self):
+        assert [k + 13 for k, _ in PACKED_LENGTHS[:3]] == [_PACKED_FROM - 1, _PACKED_FROM, _PACKED_FROM + 1]
+        assert derive_params(4081, 12).n == 4096
+
+    @pytest.mark.parametrize("k, r", PACKED_LENGTHS)
+    def test_sampled_indels(self, k, r):
+        # head edits, before index r_hat + 1, one symbol gained or lost at
+        # either end, and sampled edits in the affine region
+        rng = random.Random(f"packed {k}")
+        for _ in range(3):
+            cp = _random_params(k, r, rng)
+            z = encode_message(BitSeq(bytes(rng.getrandbits(1) for _ in range(k - 1))), k, r, cp.d, cp.b)
+            z = z.tobytes()
+            n = cp.n
+            places = [*range(cp.r_hat + 3), n - 1, n, *rng.sample(range(n), 20)]
+            for i in places:
+                if i < n:
+                    _check_packed_corrector(cp, z[:i] + z[i + 1 :])
+                for symbol in (b"\x00", b"\x01"):
+                    _check_packed_corrector(cp, z[:i] + symbol + z[i:])
+            assert _correct(cp, z, packed=True) == int(z.translate(bytes.maketrans(b"\x00\x01", b"01")), 2)
+
+    @pytest.mark.parametrize("k, r", PACKED_LENGTHS)
+    def test_random_words(self, k, r):
+        rng = random.Random(f"packed random {k}")
+        for _ in range(10):
+            cp = _random_params(k, r, rng)
+            for length in (cp.n - 1, cp.n + 1):
+                _check_packed_corrector(cp, bytes(rng.getrandbits(1) for _ in range(length)))
+
+    def test_removed_weight_can_equal_the_modulus(self):
+        for cp, data in (
+            (derive_params(7, 4), b"\x00" * 14 + b"\x01"),
+            (derive_params(7, 4, d=7, b=4), bytes(map(int, "000000001111111"))),
+        ):
+            _check_packed_corrector(cp, data)
+            assert _unpacked(_correct(cp, data, packed=True), cp.n) == data[:-1]
+
+    def test_same_errors_as_the_bytes_corrector(self):
+        cp = derive_params(887, 10)
+        # full length but no codeword, and two symbols short and over
+        for data in (b"\x01" + bytes(cp.n - 1), bytes(cp.n - 2), b"\x01" * (cp.n + 2)):
+            with pytest.raises(DataError) as want:
+                _correct(cp, data)
+            with pytest.raises(type(want.value), match=f"^{want.value}$"):
+                _correct(cp, data, packed=True)
 
 
 def _packed(data: bytes) -> int:

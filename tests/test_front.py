@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rllindel import front
-from rllindel.bitseq import BitSeq, is_rll, is_zero_constrained
+from rllindel.bitseq import _TO_ASCII, BitSeq, _run_over, is_rll, is_zero_constrained
 from rllindel.errors import DataError, ValidationError
 from rllindel.front import (
     _INDEX_SIZE,
     _POINTER_INDEX,
     _POINTERS,
     FrontParams,
+    _front_decode_packed,
+    _nrzi_decode,
+    _nrzi_encode,
     _wi_decode,
     _wi_encode,
     feasibility_bound,
@@ -506,6 +509,65 @@ class TestNrzi:
         running = list(accumulate(raw, xor))
         assert nrzi_encode(BitSeq(raw)) == BitSeq(running)
         assert nrzi_decode(BitSeq(running)) == BitSeq(raw)
+
+
+def _front_outcome(decode, word, k: int, r: int) -> str:
+    try:
+        return decode(word, k, r).hex()
+    except DataError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _packed(data: bytes) -> int:
+    return int(b"0" + data.translate(_TO_ASCII), 2)
+
+
+class TestPackedFrontDecode:
+    def test_zero_run_check_on_every_short_word(self):
+        # NRZI's inverse of y holds 0^r exactly where the word 0y holds a run
+        # of r + 1 equal symbols, r cut at len(y) + 1 as _wi_decode cuts it
+        for size in range(15):
+            for word in product((0, 1), repeat=size):
+                y = bytes(word)
+                x = _nrzi_decode(y)
+                packed = _packed(y)
+                for r in range(1, size + 3):
+                    r = r if r <= size else size + 1
+                    assert _run_over(packed, size + 1, r) == (b"\x00" * r in x), (y, r)
+
+    @pytest.mark.parametrize("k", [5, 9, 12])
+    def test_every_word_at_every_run_limit(self, k):
+        # every k-symbol word, emitted or not, at every r FrontParams accepts
+        # up to two past k: the same message or the same error text
+        limits = []
+        for r in range(3, k + 3):
+            try:
+                FrontParams(k, r)
+            except ValidationError:
+                continue
+            limits.append(r)
+        assert limits
+        for word in product((0, 1), repeat=k):
+            y = bytes(word)
+            for r in limits:
+                want = _front_outcome(lambda w, k, r: _wi_decode(_nrzi_decode(w), k, r), y, k, r)
+                assert _front_outcome(_front_decode_packed, _packed(y), k, r) == want
+
+    @pytest.mark.parametrize("p_one", [1 / 2, 1 / 16])
+    def test_encoder_outputs_and_random_words_at_k4000(self, p_one):
+        k, r = 4000, 12
+        rng = random.Random(f"packed front {p_one}")
+        for _ in range(20):
+            message = bytes(rng.random() < p_one for _ in range(k - 1))
+            emitted = _nrzi_encode(_wi_encode(message, k, r))
+            noise = bytes(rng.getrandbits(1) for _ in range(k))
+            at = rng.randrange(k)
+            # one symbol flipped makes a run of r + 1 or breaks a pointer
+            flipped = emitted[:at] + bytes([emitted[at] ^ 1]) + emitted[at + 1 :]
+            for y in (emitted, noise, flipped):
+                want = _front_outcome(lambda w, k, r: _wi_decode(_nrzi_decode(w), k, r), y, k, r)
+                assert _front_outcome(_front_decode_packed, _packed(y), k, r) == want
+            assert _front_decode_packed(_packed(emitted), k, r) == message
 
 
 class TestPipeline:
