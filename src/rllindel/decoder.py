@@ -88,8 +88,11 @@ _SYMBOLS = (b"\x00", b"\x01")
 # The code length from which decode_message keeps the corrected word packed
 # one bit per symbol through NRZI and the zero-run check, in place of
 # building it as bytes. Measured on decode_message over 300 one-indel words
-# per length, alternating passes on one pinned CPU (2-vCPU host, Python
-# 3.11), where the two chains cost the same between n = 863 and 963.
+# per length, each word's best of 15 alternating passes, on one pinned CPU
+# (2-vCPU host, Python 3.11), in two runs: the packed chain read 1.03-1.07x
+# the bytes chain at n = 69 and 261, 0.98-1.01x from n = 663 to 813, where
+# the runs disagree, 0.95-0.99x from n = 863 to 1013 and 0.86-0.91x at
+# n = 4015.
 _PACKED_FROM = 900
 
 
@@ -151,7 +154,9 @@ def _search(cp: CodeParams, data: bytes) -> tuple[int, list[tuple[int, int]]]:
     ones = packed.bit_count()
     # the weight the edit removes (gained) or adds (lost), modulo M
     edit = (weight - cp.b if gained else cp.b - weight) % modulus
-    # (index, symbol): the symbol removed at index p, or inserted before it
+    # (index, symbol): the symbol removed at index p, or inserted before it;
+    # an edit is kept only where it fits: a gained word can only lose a
+    # symbol it holds
     edits = []
     # the ones before the affine region, data[:lo]
     ones_lo = (packed >> (length - lo)).bit_count()
@@ -159,24 +164,28 @@ def _search(cp: CodeParams, data: bytes) -> tuple[int, list[tuple[int, int]]]:
     shift = ones - ones_lo - (data[lo] if gained else 0)
     for p in range(lo - 1, -1, -1):
         shift += (coeffs[p + 1] - coeffs[p]) * data[p + gained]
-        if shift % modulus == edit:
+        if shift % modulus == edit and not (gained and data[p]):
             edits.append((p, 0))
-        if (shift + coeffs[p]) % modulus == edit:
+        if (shift + coeffs[p]) % modulus == edit and (not gained or data[p]):
             edits.append((p, 1))
     # the affine region, p = -1 where no run fits: a 0 at p moves the ones after
     # it; a 1 also weighs coeffs[lo] + p - lo, so the zeros before it fix p;
     # every search ends at index end, before the last symbol of a gained word
     end = length - gained
     ones_end = ones - (data[-1] if gained else 0)
-    edits.append((_first(packed, length, 1, ones - edit, lo, end, ones_lo, ones_end), 0))
+    p = _first(packed, length, 1, ones - edit, lo, end, ones_lo, ones_end)
+    if p >= 0 and not (gained and data[p]):
+        edits.append((p, 0))
     zeros = edit - coeffs[lo] + lo + gained - ones
-    edits.append((_first(packed, length, 0, zeros, lo, end, lo - ones_lo, end - ones_end), 1))
+    p = _first(packed, length, 0, zeros, lo, end, lo - ones_lo, end - ones_end)
+    if p >= 0 and (not gained or data[p]):
+        edits.append((p, 1))
     if gained:
         # a removed 1 weighs up to M inclusive, which the congruence sees as 0
-        zeros += modulus
-        edits.append((_first(packed, length, 0, zeros, lo, end, lo - ones_lo, end - ones_end), 1))
-        return packed, [(p, symbol) for p, symbol in edits if p >= 0 and data[p] == symbol]
-    return packed, [(p, symbol) for p, symbol in edits if p >= 0]
+        p = _first(packed, length, 0, zeros + modulus, lo, end, lo - ones_lo, end - ones_end)
+        if p >= 0 and data[p]:
+            edits.append((p, 1))
+    return packed, edits
 
 
 def candidates(cp: CodeParams, data: bytes) -> set[bytes]:

@@ -538,9 +538,10 @@ class TestPackedFrontDecode:
     @pytest.mark.parametrize("k", [5, 9, 12])
     def test_every_word_at_every_run_limit(self, k):
         # every k-symbol word, emitted or not, at every r FrontParams accepts
-        # up to two past k: the same message or the same error text
+        # up to two past k, and at one no pattern can be built for: the same
+        # message or the same error text
         limits = []
-        for r in range(3, k + 3):
+        for r in [*range(3, k + 3), 10**22]:
             try:
                 FrontParams(k, r)
             except ValidationError:
