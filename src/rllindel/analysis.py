@@ -5,17 +5,33 @@ from the counting lower bound on redundancy: fixed cost r_hat + 4 against
 the bound `phi`, tabulated as CSV rows. Second, whether the parity fallback
 can ever be forced to fail: a fallback failure requires two forbidden parity
 words whose weighted sums differ by a multiple of the congruence modulus,
-and the sweep below enumerates every such pair over a whole parameter band.
+and the sweep below finds every such pair over a whole parameter band.
 
-The interval story behind the sweep: the collision quantity
-A = rho(p1) + d - rho(p0), over all forbidden pairs and all d, falls into
-three contiguous families C1 < C2 < C3, and D is the range of the modulus
-over the band. The sweep reads the families off its own enumeration, as the
-maximal runs of consecutive values of A, rather than from formulas, so the
-chain it reports is a statement about the data. The chain C1 < C2 < D <= C3
-< 2*D leaves one touching point, D.upper == C3.lower, and only for the
-narrowest band. That single point is the (k, r, d) = (14, 4, 5) exclusion
-enforced by derive_params.
+The interval story behind the sweep. Write R = 2^r_hat. Over the band, k
+runs over [R/2 - 1, R - 2], d over [R/4 + 1, R/2 - 1], and the modulus
+M = a_(n+1) = R + k + 2 over D = [3R/2 + 1, 2R]. The forbidden pairs give
+ten distinct weight differences delta = rho(p1) - rho(p0) at every r_hat:
+-1, R - 4 .. R - 1 and 2R - 5 .. 2R - 1. Each delta reaches the interval
+[delta + d_lo, delta + d_hi] of collision values A = rho(p1) + d - rho(p0),
+and the intervals, merged where they overlap or touch, form three families
+C1 = [R/4, R/2 - 2], C2 = [5R/4 - 3, 3R/2 - 2] and C3 = [9R/4 - 4, 5R/2 - 2].
+The sweep merges the intervals of the differences it computes from the
+forbidden words rather than writing these formulas down, so the chain it
+reports is a statement about the data; the tests hold the formulas against
+it for r_hat = 4..64.
+
+A collision is a modulus M in D with A = j*M for a whole j. The sweep tests
+every j, zero and negative ones included, so it does not assume the chain
+C1 < C2 < D <= C3 < 2*D that it reports. The chain is why there is one
+collision in all: every A is positive, so no j <= 0 hits; C3 ends at
+5R/2 - 2, below 2*min(D) = 3R + 2, so no j >= 2 hits; and C2 ends below D,
+while C3 starts at 9R/4 - 4 >= 2R = max(D), with equality only at R = 16. So
+M divides A only where A = M, which is the touch D.upper == C3.lower = 32 at
+r_hat = 4: the collision (k, d, A) = (14, 5, 32) of the (k, r, d) =
+(14, 4, 5) exclusion that derive_params enforces (code._EXCLUDED_TRIPLE).
+Each difference costs a few integer operations, so the cost does not grow
+with the band; the sweep accepts 4 <= r_hat <= 64, the shapes of every k
+below 2^64 - 1.
 
 The sweep reports through oracle.Report, as the verification suites do: the
 families and D as `lo..hi` stats, the chain as yes/no, and the collision
@@ -26,13 +42,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress
+from itertools import compress, product
 
-from .bitseq import BitSeq, is_rll
-from .code import CodeParams, _check_r_hat, _coefficients, d_range
+from .bitseq import BitSeq
+from .code import _EXCLUDED_TRIPLE, CodeParams, _check_r_hat, _coefficients, d_range
 from .errors import DataError, InvariantError, ValidationError
 from .front import feasibility_bound
-from .oracle import Report, _words
+from .oracle import Report
 
 _LN2 = math.log(2)
 
@@ -116,18 +132,26 @@ def rho(r_hat: int, p: BitSeq) -> int:
 def forbidden_parities(r_hat: int, last_symbol: int) -> list[BitSeq]:
     """All parity words with the given last symbol whose longest run exceeds r_hat.
 
-    Generated by direct filter over all 2^(r_hat + 3) words, in lexicographic
-    order, so the set is definitional rather than transcribed.
+    A run longer than r_hat in r_hat + 3 symbols fills a window of r_hat + 1
+    positions, at offset 0, 1 or 2, with one symbol, and leaves two positions
+    free; the words are built that way, without duplicates, in lexicographic
+    order.
     """
     _check_r_hat(r_hat)
     if last_symbol not in (0, 1):
         raise DataError(f"last symbol must be 0 or 1 (got {last_symbol})")
-    words = (BitSeq._wrap(data) for data in _words(r_hat + 3) if data[-1] == last_symbol)
-    return [word for word in words if not is_rll(word, r_hat)]
+    words = {
+        bytes(free[:offset] + (symbol,) * (r_hat + 1) + free[offset:])
+        for symbol, offset, free in product((0, 1), range(3), product((0, 1), repeat=2))
+    }
+    return [BitSeq._wrap(word) for word in sorted(words) if word[-1] == last_symbol]
 
 
-# the one parameter triple whose fallback failure the sweep is expected to find
-_EXPECTED_COLLISIONS: dict[int, tuple[tuple[int, int, int], ...]] = {4: ((14, 5, 32),)}
+# the one fallback failure the sweep is expected to find: the excluded triple's,
+# where A is its modulus, in its band r_hat = r
+_EXPECTED_COLLISIONS: dict[int, tuple[tuple[int, int, int], ...]] = {
+    r: ((k, d, CodeParams.unchecked(k, r, r, d, 0).modulus),) for k, r, d in (_EXCLUDED_TRIPLE,)
+}
 
 
 def gap_condition_check(r_hat: int) -> Report:
@@ -135,67 +159,65 @@ def gap_condition_check(r_hat: int) -> Report:
 
     For every k in the band, every weight d, and every pair of forbidden
     parity words with matching last symbol (first-pass shape p0 against
-    fallback shape p1), tests whether A = rho(p1) + d - rho(p0) is a multiple
-    of the modulus. Also reports the modulus range and the collision-value
+    fallback shape p1), finds whether A = rho(p1) + d - rho(p0) is a multiple
+    of the modulus, working per difference rho(p1) - rho(p0) on the interval
+    of A it reaches. Also reports the modulus range and the collision-value
     families, the maximal runs of consecutive values of A over all pairs and
     all d; raises InvariantError unless there are exactly three. Passes when
     the families and the modulus range form the chain and the collisions are
     exactly the expected ones for r_hat.
     """
-    if not 4 <= r_hat <= 12:
-        raise ValidationError(f"sweep supports 4 <= r_hat <= 12 (got {r_hat})")
+    if not 4 <= r_hat <= 64:
+        raise ValidationError(
+            f"sweep supports 4 <= r_hat <= 64, the shapes of every k below 2^64 - 1 (got {r_hat})"
+        )
     d_lo, d_hi = d_range(r_hat)
     k_lo, k_hi = (1 << (r_hat - 1)) - 1, (1 << r_hat) - 2
-    diffs = set()
+    deltas = set()
     for last in (0, 1):
         words = forbidden_parities(r_hat, last)
-        first_pass = [p for p in words if p[r_hat - 1] == 0]
-        fallback = [p for p in words if p[r_hat - 1] == 1]
-        for p1 in fallback:
-            rho1 = rho(r_hat, p1)
-            for p0 in first_pass:
-                diffs.add(rho1 - rho(r_hat, p0))
-    # a_(n+1) does not depend on d at encoder lengths
-    moduli = {
-        k: CodeParams.unchecked(k, r_hat, r_hat, d_lo, 0).modulus for k in range(k_lo, k_hi + 1)
-    }
-    by_value = {}  # each collision value A -> the weights d that reach it
-    for d in range(d_lo, d_hi + 1):
-        for diff in diffs:
-            by_value.setdefault(diff + d, []).append(d)
-    hits = {
-        (k, d, a)
-        for k, modulus in moduli.items()
-        for a, ds in by_value.items()
-        if a % modulus == 0
-        for d in ds
-    }
-    # the maximal runs of consecutive collision values: each starts at a value
-    # without a predecessor and ends at the next value without a successor
-    values = sorted(by_value)
-    runs = list(zip(
-        [a for a in values if a - 1 not in by_value],
-        [a for a in values if a + 1 not in by_value],
-    ))
+        first_pass = [rho(r_hat, p) for p in words if p[r_hat - 1] == 0]
+        fallback = [rho(r_hat, p) for p in words if p[r_hat - 1] == 1]
+        deltas.update(rho1 - rho0 for rho1 in fallback for rho0 in first_pass)
+    # each delta reaches the values A in [delta + d_lo, delta + d_hi]; the
+    # families are those intervals merged where they overlap or touch, and as
+    # every interval has the same width, sorting by lo also sorts by hi
+    runs = []
+    for lo, hi in sorted((delta + d_lo, delta + d_hi) for delta in deltas):
+        if runs and lo <= runs[-1][1] + 1:
+            lo = runs.pop()[0]
+        runs.append((lo, hi))
     if len(runs) != 3:
         raise InvariantError(f"collision values form {len(runs)} runs, not three families")
     c1, c2, c3 = runs
-    dd = (moduli[k_lo], moduli[k_hi])
+    # a_(n+1) = 2^r_hat + k + 2 does not depend on d and rises by one with k
+    m_lo, m_hi = (CodeParams.unchecked(k, r_hat, r_hat, d_lo, 0).modulus for k in (k_lo, k_hi))
+    hits = set()
+    for delta in deltas:
+        lo, hi = delta + d_lo, delta + d_hi
+        # every whole j, zero and negative ones too, with j*M in [lo, hi] for
+        # some M in D, and the moduli M in D between lo/j and hi/j, whose
+        # order a negative j flips; j = 0 is in the range only where
+        # lo <= 0 <= hi, and then every M is hit
+        for j in range(min(-(-lo // m_lo), -(-lo // m_hi)), max(hi // m_lo, hi // m_hi) + 1):
+            a, b = (lo, hi) if j > 0 else (hi, lo)
+            first, last = (-(-a // j), b // j) if j else (m_lo, m_hi)
+            for modulus in range(max(first, m_lo), min(last, m_hi) + 1):
+                hits.add((k_lo + modulus - m_lo, j * modulus - delta, j * modulus))
     # the chain C1 < C2 < D <= C3 < 2*D, touching at D.upper == C3.lower only at r_hat = 4
     chain = (
-        0 < c1[0] <= c1[1] < c2[0] <= c2[1] < dd[0] <= dd[1] <= c3[0] <= c3[1] < 2 * dd[0]
-    ) and (dd[1] == c3[0]) == (r_hat == 4)
-    collisions = sorted(hits)
-    families = zip(("c1", "c2", "c3", "d_interval"), (c1, c2, c3, dd))
+        0 < c1[0] <= c1[1] < c2[0] <= c2[1] < m_lo <= m_hi <= c3[0] <= c3[1] < 2 * m_lo
+    ) and (m_hi == c3[0]) == (r_hat == 4)
+    families = zip(("c1", "c2", "c3", "d_interval"), (c1, c2, c3, (m_lo, m_hi)))
     return Report(
         name="gap-condition",
         params={"r_hat": r_hat},
         passed=chain and hits == set(_EXPECTED_COLLISIONS.get(r_hat, ())),
-        counterexample=";".join(f"(k={k},d={d},A={a})" for k, d, a in collisions) or None,
+        counterexample=";".join(f"(k={k},d={d},A={a})" for k, d, a in sorted(hits)) or None,
         stats={
             **{name: f"{lo}..{hi}" for name, (lo, hi) in families},
             "chain": "yes" if chain else "no",
-            "collisions": len(collisions),
+            "collisions": len(hits),
         },
     )
 

@@ -78,6 +78,9 @@ from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 # pass, 2.21 us for the sliced sum), so one crossover serves every caller.
 _SLICED_FROM = 200
 
+# the one (k, r, d) whose parity fallback can break the run limit; its r_hat is r
+_EXCLUDED_TRIPLE = (14, 4, 5)
+
 
 class CodeParams(namedtuple("CodeParams", "k r_hat r d b m n modulus")):
     """Parameter bundle for one code instance, an immutable named tuple.
@@ -163,9 +166,9 @@ def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) ->
         raise ValidationError(f"run limit r={r} is below r_hat={r_hat}")
     if r > k + r_hat + 3:
         raise ValidationError(f"run limit r={r} exceeds the code length n={k + r_hat + 3}")
-    if (k, r, d) == (14, 4, 5):
+    if (k, r, d) == _EXCLUDED_TRIPLE:
         raise ValidationError(
-            "(k, r, d) = (14, 4, 5) is excluded: the parity fallback cannot "
+            f"(k, r, d) = {_EXCLUDED_TRIPLE} is excluded: the parity fallback cannot "
             "guarantee the run-length limit for this triple"
         )
     return _check_b(CodeParams.unchecked(k, r_hat, r, d, 0 if b is None else b))

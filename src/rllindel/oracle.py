@@ -45,6 +45,7 @@ from itertools import product
 from .bitseq import BitSeq, _run_patterns, is_rll, is_zero_constrained, le_encode
 from .channel import ChannelEvent, Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
+    _EXCLUDED_TRIPLE,
     CodeParams,
     _weight,
     derive_params,
@@ -219,9 +220,9 @@ def check_encoder_rll(
     """
     if trials < 0:
         raise ValidationError(f"trial count must be non-negative (got trials={trials})")
-    if (k, r, d) == (14, 4, 5):
-        # the one deliberately excluded triple still gets probed by the oracle (r_hat = 4)
-        cp0 = CodeParams.unchecked(k, 4, r, d, 0)
+    if (k, r, d) == _EXCLUDED_TRIPLE:
+        # the one deliberately excluded triple still gets probed by the oracle (r_hat = r)
+        cp0 = CodeParams.unchecked(k, r, r, d, 0)
     else:
         cp0 = derive_params(k, r, d, 0)
     if k <= 10:

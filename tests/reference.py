@@ -5,7 +5,9 @@ faster: the O(n) scan over every edit that decoder.candidates replaces, the
 restart-from-symbol-0 replacement loop that front._wi_encode replaces, the
 one-bytearray undo loop that front._wi_decode replaces, the
 solve-then-splice parity that code._parity replaces, the symbol-by-symbol
-embedder that code._embed replaces, and the run statistics the run-limit
+embedder that code._embed replaces, the enumeration sweep over every
+parity word, modulus and collision value that analysis.gap_condition_check's
+interval arithmetic replaces, and the run statistics the run-limit
 predicates are checked against. The package never imports this
 module.
 """
@@ -14,10 +16,12 @@ from __future__ import annotations
 from itertools import accumulate
 from operator import add, mul
 
-from rllindel.bitseq import _TO_ASCII, BitSeq, le_encode
-from rllindel.code import _coefficients, coefficient_value
+from rllindel.analysis import rho
+from rllindel.bitseq import _TO_ASCII, BitSeq, is_rll, le_encode
+from rllindel.code import CodeParams, _coefficients, coefficient_value, d_range
 from rllindel.errors import DataError, InvariantError
 from rllindel.front import _FORBIDDEN_ONE, omega
+from rllindel.oracle import Report, _words
 
 
 def reference_candidates(cp, data: bytes) -> set[bytes]:
@@ -168,6 +172,68 @@ def reference_embed(cp, y: bytes) -> bytes:
     raise InvariantError(
         f"fallback parity still violates the run-length limit at "
         f"(k={cp.k}, r={r}, d={cp.d}, b={cp.b})"
+    )
+
+
+def reference_gap_condition(r_hat: int) -> Report:
+    """The gap-condition sweep by enumeration: every parity word, modulus and collision value.
+
+    Filters all 2^(r_hat + 3) parity words for the forbidden ones, takes the
+    modulus of every k in the band, and tests every collision value against
+    every modulus, so its cost grows as 2^(2 r_hat). The families are the
+    maximal runs of consecutive collision values. This is the reference that
+    analysis.gap_condition_check, interval arithmetic per weight difference,
+    is tested against; it reports the same way and raises the same errors.
+    """
+    d_lo, d_hi = d_range(r_hat)
+    k_lo, k_hi = (1 << (r_hat - 1)) - 1, (1 << r_hat) - 2
+    diffs = set()
+    for last in (0, 1):
+        words = (BitSeq._wrap(data) for data in _words(r_hat + 3) if data[-1] == last)
+        words = [word for word in words if not is_rll(word, r_hat)]
+        first_pass = [p for p in words if p[r_hat - 1] == 0]
+        fallback = [p for p in words if p[r_hat - 1] == 1]
+        for p1 in fallback:
+            for p0 in first_pass:
+                diffs.add(rho(r_hat, p1) - rho(r_hat, p0))
+    moduli = {
+        k: CodeParams.unchecked(k, r_hat, r_hat, d_lo, 0).modulus for k in range(k_lo, k_hi + 1)
+    }
+    by_value = {}  # each collision value A -> the weights d that reach it
+    for d in range(d_lo, d_hi + 1):
+        for diff in diffs:
+            by_value.setdefault(diff + d, []).append(d)
+    hits = {
+        (k, d, a)
+        for k, modulus in moduli.items()
+        for a, ds in by_value.items()
+        if a % modulus == 0
+        for d in ds
+    }
+    values = sorted(by_value)
+    runs = list(zip(
+        [a for a in values if a - 1 not in by_value],
+        [a for a in values if a + 1 not in by_value],
+    ))
+    if len(runs) != 3:
+        raise InvariantError(f"collision values form {len(runs)} runs, not three families")
+    c1, c2, c3 = runs
+    dd = (moduli[k_lo], moduli[k_hi])
+    chain = (
+        0 < c1[0] <= c1[1] < c2[0] <= c2[1] < dd[0] <= dd[1] <= c3[0] <= c3[1] < 2 * dd[0]
+    ) and (dd[1] == c3[0]) == (r_hat == 4)
+    collisions = sorted(hits)
+    families = zip(("c1", "c2", "c3", "d_interval"), (c1, c2, c3, dd))
+    return Report(
+        name="gap-condition",
+        params={"r_hat": r_hat},
+        passed=chain and hits == ({(14, 5, 32)} if r_hat == 4 else set()),
+        counterexample=";".join(f"(k={k},d={d},A={a})" for k, d, a in collisions) or None,
+        stats={
+            **{name: f"{lo}..{hi}" for name, (lo, hi) in families},
+            "chain": "yes" if chain else "no",
+            "collisions": len(collisions),
+        },
     )
 
 

@@ -169,7 +169,7 @@ def test_11_parity_collision_sweep(criterion):
         assert report.stats["collisions"] == 1
         assert report.stats["chain"] == "yes" and report.passed
         assert report.stats["d_interval"].split("..")[1] == report.stats["c3"].split("..")[0]
-        for r_hat in range(5, 11):
+        for r_hat in range(5, 65):
             clean = gap_condition_check(r_hat)
             assert clean.counterexample is None and clean.stats["collisions"] == 0
             assert clean.passed

@@ -21,6 +21,9 @@ from rllindel.bitseq import BitSeq, le_encode
 from rllindel.code import coefficient_value, d_range
 from rllindel.errors import DataError, InvariantError, ValidationError
 
+import reference
+from reference import reference_gap_condition
+
 
 class TestBounds:
     def test_known_values(self):
@@ -151,7 +154,7 @@ class TestForbiddenParities:
         ]
 
     def test_matches_independent_enumeration(self):
-        for r_hat in (4, 5):
+        for r_hat in range(4, 11):
             for last in (0, 1):
                 m = r_hat + 3
                 indep = []
@@ -205,7 +208,7 @@ class TestGapCondition:
         assert families(report) == [(8, 14), (37, 46), (68, 78), (49, 64)]
 
     def test_chain_with_boundary_touch_only_at_4(self):
-        for r_hat in range(4, 11):
+        for r_hat in range(4, 65):
             report = gap_condition_check(r_hat)
             assert report.stats["chain"] == "yes"
             c1, c2, c3, d_interval = families(report)
@@ -216,6 +219,7 @@ class TestGapCondition:
             assert c1 == (d_lo - 1, d_hi - 1)
             assert c2 == (d_lo + base - 4, d_hi + base - 1)
             assert c3 == (d_lo + 2 * base - 5, d_hi + 2 * base - 1)
+            assert d_interval == (base + base // 2 + 1, 2 * base)
 
     def test_families_that_are_not_three_runs_raise(self, monkeypatch):
         # d up to 16 at r_hat = 4 makes the values of C2 and C3 meet at 31, 32
@@ -235,10 +239,55 @@ class TestGapCondition:
         assert report.lines()[0] == "CHECK gap-condition r_hat=4 FAIL (k=14,d=5,A=32)"
 
     def test_guards(self):
-        with pytest.raises(ValidationError):
-            gap_condition_check(3)
-        with pytest.raises(ValidationError):
-            gap_condition_check(13)
+        # one range check, made before 2^r_hat is built
+        for r_hat in (3, 65, 10**22):
+            with pytest.raises(ValidationError) as excinfo:
+                gap_condition_check(r_hat)
+            assert str(excinfo.value) == (
+                "sweep supports 4 <= r_hat <= 64, the shapes of every k below 2^64 - 1 "
+                f"(got {r_hat})"
+            )
+
+
+def _sweep_or_error(sweep, r_hat):
+    """A sweep's rendered report, or the text of the InvariantError it raises."""
+    try:
+        return sweep(r_hat).render()
+    except InvariantError as exc:
+        return f"InvariantError: {exc}"
+
+
+class TestGapConditionAgainstEnumeration:
+    @pytest.mark.parametrize("r_hat", range(4, 12))
+    def test_same_report(self, r_hat):
+        assert gap_condition_check(r_hat).render() == reference_gap_condition(r_hat).render()
+
+    # d ranges that move A off the chain: to 0, where j = 0 hits every
+    # modulus; below 0, where j = -2 hits; past 2*M, where j = 2 hits; or
+    # into fewer than three families, which both sweeps reject with the
+    # same text. Each case's output must hold the fragment given
+    @pytest.mark.parametrize(
+        "r_hat, d_lo, d_hi, fragment",
+        [
+            (4, -33, -28, "(k=7,d=-31,A=0)"),
+            (5, -5, 3, "(k=15,d=1,A=0)"),
+            (4, -64, -60, "(k=14,d=-63,A=-64)"),
+            (5, -100, -90, "(k=15,d=-97,A=-98)"),
+            (4, -20, -16, "c1=-21..-17 c2=-8..-1 c3=7..15 d_interval=25..32 chain=no collisions=0"),
+            (4, 20, 25, "(k=7,d=20,A=50)"),
+            (5, 40, 50, "(k=15,d=50,A=49);(k=16,d=40,A=100)"),
+            (4, 40, 43, "(k=8,d=40,A=52)"),
+            (4, 0, 0, "c1=-1..-1 c2=12..15 c3=27..31"),
+            (4, 5, 16, "InvariantError: collision values form 2 runs, not three families"),
+            (4, -40, -1, "InvariantError: collision values form 1 runs, not three families"),
+        ],
+    )
+    def test_same_report_off_the_chain(self, monkeypatch, r_hat, d_lo, d_hi, fragment):
+        monkeypatch.setattr(analysis, "d_range", lambda r_hat: (d_lo, d_hi))
+        monkeypatch.setattr(reference, "d_range", lambda r_hat: (d_lo, d_hi))
+        got = _sweep_or_error(gap_condition_check, r_hat)
+        assert got == _sweep_or_error(reference_gap_condition, r_hat)
+        assert fragment in got and "chain=yes" not in got
 
 
 class TestEmitCsv:

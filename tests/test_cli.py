@@ -187,6 +187,28 @@ class TestVerify:
         assert result.returncode == 0
         assert "(k=14,d=5,A=32)" in result.stdout
 
+    @pytest.mark.parametrize(
+        "r_hat, summary",
+        [
+            (
+                13,
+                "c1=2048..4094 c2=10237..12286 c3=18428..20478 d_interval=12289..16384",
+            ),
+            (
+                20,
+                "c1=262144..524286 c2=1310717..1572862 c3=2359292..2621438 "
+                "d_interval=1572865..2097152",
+            ),
+        ],
+    )
+    def test_gap_condition_passes_above_k_4095(self, r_hat, summary):
+        result = run("verify", "gap-condition", "--rhat", str(r_hat))
+        assert result.returncode == 0
+        assert result.stdout == (
+            f"CHECK gap-condition r_hat={r_hat} PASS\n"
+            f"check=gap-condition r_hat={r_hat} result=pass {summary} chain=yes collisions=0\n"
+        )
+
     def test_campaign_reproducible(self):
         args = ("verify", "campaign", "--k", "13", "--r", "4", "--seed", "21")
         first = run(*args)
@@ -601,8 +623,13 @@ BAD_PARAMETERS = [
     ("verify sidc --n-min 1 --n-max 3 --rhat 4 --d 6 --b -1", "residue b=-1 is outside [0, 1]"),
     ("verify encoder-rll --k 0 --r 4", "message-part length must be at least 7 (got k=0)"),
     ("verify encoder-rll --k 20 --r 3", "run limit r=3 is below r_hat=5"),
-    ("verify gap-condition --rhat 2", "sweep supports 4 <= r_hat <= 12 (got 2)"),
-    ("verify gap-condition --rhat 13", "sweep supports 4 <= r_hat <= 12 (got 13)"),
+    *(
+        (
+            f"verify gap-condition --rhat {r_hat}",
+            f"sweep supports 4 <= r_hat <= 64, the shapes of every k below 2^64 - 1 (got {r_hat})",
+        )
+        for r_hat in (2, 65, 10**22)
+    ),
     ("verify campaign --k 6 --r 4 --seed 1", "message-part length must be at least 7 (got k=6)"),
     ("verify campaign --k 13 --r 4 --b 999 --seed 1", "residue b=999 is outside [0, 30]"),
     # no command builds a run pattern before the limit is checked against n
