@@ -75,6 +75,25 @@ symbol behind each insertion point and carries on past a marker, as the
 reference the tests compare this decoder against, bytes and error texts
 alike.
 
+Reading ahead: the tail is immutable and its start only moves up, so the
+pointers it holds stay in place, one r-symbol chunk per undo back from its
+end, and a chunk is still the pointer its undo reads while it lies in the
+tail. So where a tail, as first given or as rebuilt, holds at least
+_READ_AHEAD_FROM pointers and as many undos are left, the undo reads them,
+up to _READ_AHEAD_MOST at a time, with one struct.unpack_from and one map
+through the memo. It then takes them in turn in one loop while each names a
+point in left, filled in place or by moving the gap as above: one pass per
+undo, with no slice or memo lookup of its own. A run that uses them all up
+reads the next ones. A point right of left, a chunk the tail's start has
+passed, the end marker and every error take the one-pointer path, so the
+step numbers and error texts are those of one undo at a time. A chunk is
+read at most once per tail, and each tail is paid for by the symbols right
+gave it, so reading ahead keeps the cost linear. Below the threshold the
+read's fixed cost outweighs what it saves (measurements at
+_READ_AHEAD_FROM). The tail's count matters as well as the undos left: at
+k = 250 a word with P(1) = 0.04 to 0.1 rebuilds its tail about once every
+five undos, and its rebuilt tails mostly hold a pointer or two.
+
 Decodability bound: FrontParams accepts k <= 2^r + r - 5, the feasibility
 bound, for r <= 4, and k <= 2^r + r - 7 for r >= 5. For r >= 5 the encoder
 itself is not injective at 2^r + r - 6 and 2^r + r - 5: a pointer's high
@@ -145,6 +164,8 @@ long words.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
+from struct import unpack_from
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_over
 from .errors import DataError, InvariantError, ValidationError
@@ -226,6 +247,22 @@ def _omega(s: int, t: int) -> bytes:
 # Most symbols an undo moves inside left; an insertion point further left
 # moves the gap there instead.
 _NEAR = 256
+# Pointers a tail must hold, with as many undos left, for the undo to read
+# them ahead (see the module docstring). Measured on _wi_decode against
+# reading one pointer a step, 21 alternating passes over 50-150 words per band
+# of replacement counts s, on one pinned CPU (2-vCPU host, Python 3.11), at
+# k = 1000 and 4000: reading ahead from every tail read 1.10-1.27x for
+# s < 8, 1.01-1.13x for 8 <= s < 32 and 0.81-0.97x from s = 32 on. At 32,
+# every k4000-sparse word (s = 304..341 over 1000 words) reads ahead and no
+# word of the other three benchmark workloads (s <= 4) does. It must be at
+# least 1.
+_READ_AHEAD_FROM = 32
+# Most pointers one read takes, a power of two. A compiled format of c
+# pointers takes about 35c bytes, and a format cache that each distinct read
+# size fills would hold up to 100 of them: about 110 MB at k = 10^6, where a
+# tail holds 35000 pointers. A k4000-sparse word reads its first tail's 305
+# or so pointers as 256 and 32.
+_READ_AHEAD_MOST = 256
 # Entries a pointer table keeps before it is emptied: every pointer of a
 # k = 4000 word fits, and at any r, where 2^r pointers exist, it stays small.
 _INDEX_SIZE = 4096
@@ -355,6 +392,21 @@ def _parse_and_undo(data: bytes, k: int, r: int) -> bytes:
     raise DataError("no replacement count gives a message that encodes to this word")
 
 
+def _read_ahead(data: bytes, t0: int, e: int, r: int, steps: int) -> list:
+    """The insertion indexes named by the last pointers of data[t0:e], the next to undo last.
+
+    It reads the largest power of two that is no more than the steps left,
+    the pointers the tail holds and _READ_AHEAD_MOST, so struct compiles and
+    keeps at most nine formats for each r. Where those allow fewer than
+    _READ_AHEAD_FROM, the list is empty and the undo reads one pointer a step.
+    """
+    count = min(steps, (e - t0) // r, _READ_AHEAD_MOST)
+    if count < _READ_AHEAD_FROM:
+        return []
+    count = 1 << count.bit_length() - 1
+    return list(map(_POINTER_INDEX.__getitem__, unpack_from(f"{r}s" * count, data, e - count * r)))
+
+
 def _undo(data: bytes, i: int, r: int) -> bytes:
     """The message of a zero-constrained word whose count tail's (1^(r-1) 0) blocks start at i."""
     while i >= 1 and data[i - 1] == 0:
@@ -367,14 +419,20 @@ def _undo(data: bytes, i: int, r: int) -> bytes:
         return data[: i - 1]
     # a bytearray, as slice assignment copies any other buffer first
     pattern = bytearray(r) + _FORBIDDEN_ONE
+    r1 = r + 1
+    near = _NEAR
     index = _POINTER_INDEX
     # the working word is left + right[::-1] + data[t0:e]: insertions go into
     # left, right holds the symbols between the gap and the tail reversed, and
-    # the tail is immutable, so each pointer is one slice off its end
+    # the tail is immutable, so a pointer read off it stays valid while it
+    # lies in data[t0:e]; points holds the ones read ahead, the next to undo
+    # last
     left = bytearray()
     right = bytearray()
     t0, e = 0, i - 1
-    for step in range(s, 0, -1):
+    points = _read_ahead(data, t0, e, r, s) if s >= _READ_AHEAD_FROM else []
+    step = s
+    while step:
         if e - t0 < r:
             # the tail ran out: the rest of the word, r symbols or more where
             # it has them, becomes the tail
@@ -383,19 +441,41 @@ def _undo(data: bytes, i: int, r: int) -> bytes:
             del left[cut:]
             right.clear()
             t0, e = 0, len(data)
-        f = e - r
-        if f >= t0:
-            q = index[data[f:e]]
-            size = len(left)
-            if 0 <= q <= size:
-                if size - q <= _NEAR:
-                    left[q:q] = pattern
-                else:
+            points = _read_ahead(data, t0, e, r, step) if step >= _READ_AHEAD_FROM else []
+        size = len(left)
+        if points:
+            # the pointers read ahead, in turn, while each names a point in
+            # left: one pass of this loop per undo step
+            end = e
+            for q in islice(reversed(points), (e - t0) // r):
+                if not 0 <= q <= size:
+                    break
+                if size - q > near:
                     # move the gap to q
                     right += left[q:][::-1]
                     del left[q:]
-                    left += pattern
+                    size = q
+                left[q:q] = pattern
+                size += r1
+                e -= r
+            if e < end:
+                taken = (end - e) // r
+                del points[-taken:]
+                step -= taken
+                if not points:
+                    points = _read_ahead(data, t0, e, r, step)
+                continue
+        f = e - r
+        if f >= t0:
+            q = points.pop() if points else index[data[f:e]]
+            if 0 <= q <= size:
+                if size - q > near:
+                    # move the gap to q
+                    right += left[q:][::-1]
+                    del left[q:]
+                left[q:q] = pattern
                 e = f
+                step -= 1
                 continue
             need = q - size
             have = len(right)
@@ -411,6 +491,7 @@ def _undo(data: bytes, i: int, r: int) -> bytes:
                 t0 += need
                 left += pattern
                 e = f
+                step -= 1
                 continue
         if e - t0 >= r - 1 and data.startswith(_FORBIDDEN_ONE + bytes(r - 2), e - r + 1, e):
             # the end marker 1 0^(r-2) becomes r zeros; only the first

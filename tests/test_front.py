@@ -383,15 +383,25 @@ def _sparse_message(rng: random.Random, length: int, p_one: float) -> bytes:
     return bytes(rng.random() < p_one for _ in range(length))
 
 
-@pytest.fixture(params=[None, 0], ids=["near-default", "near0"])
+@pytest.fixture(
+    params=[(None, None), (0, None), (None, 1), (0, 1)],
+    ids=["near-default", "near0", "near-default-ahead1", "near0-ahead1"],
+)
 def near(request, monkeypatch):
-    """Run at the default _NEAR, then at _NEAR = 0.
+    """Run at the default _NEAR and at _NEAR = 0, each with the default read-ahead and from 1.
 
-    At 0 every insertion point left of left's end moves the gap, so short
-    words reach right and its reversal too.
+    At _NEAR = 0 every insertion point left of left's end moves the gap, so
+    short words reach right and its reversal too. At _READ_AHEAD_FROM = 1
+    every tail's pointers are read ahead, however few, and at most eight at a
+    time, so short words reach the read-ahead loop, each way out of it and
+    the read that follows a run that used them up.
     """
-    if request.param is not None:
-        monkeypatch.setattr(front, "_NEAR", request.param)
+    near, ahead_from = request.param
+    if near is not None:
+        monkeypatch.setattr(front, "_NEAR", near)
+    if ahead_from is not None:
+        monkeypatch.setattr(front, "_READ_AHEAD_FROM", ahead_from)
+        monkeypatch.setattr(front, "_READ_AHEAD_MOST", 8)
 
 
 @pytest.mark.usefixtures("near")
@@ -412,7 +422,10 @@ class TestUndoMatchesReference:
     @pytest.mark.parametrize("p_one", [0, 1, 1 / 16, 1 / 4, 1 / 2])
     @pytest.mark.parametrize("k, r", [(13, 4), (60, 6), (250, 8), (4000, 12)])
     def test_encoder_outputs_and_their_flips(self, k, r, p_one):
-        # every one-symbol flip up to k = 250, every 37th at k = 4000
+        # every one-symbol flip up to k = 250, every 37th at k = 4000. Read
+        # ahead, the all-zero message at (60, 6) meets a point right of the
+        # gap that moves the tail's start past pointers already read, which
+        # must not be used
         message = _sparse_message(random.Random(f"{k} {r} {p_one}"), k - 1, p_one)
         word = _wi_encode(message, k, r)
         assert _wi_decode(word, k, r) == message
@@ -435,12 +448,55 @@ class TestUndoMatchesReference:
             (18, 5, "00001010000000000", "000010100011010100"),
             # the tail runs out at e == 0 with no marker to follow
             (12, 5, "00000100000", "100001001000"),
+            # read ahead: the last pointer read names no point in left, as it
+            # is the end marker's r - 1 symbols and one more
+            (10, 4, "000000000", "0001010100"),
+            # read ahead: the tail runs out after a run of pointers and is
+            # read again; at _NEAR = 0 the run moves the gap
+            (10, 4, "000000010", "1100010100"),
+            # read ahead: a run uses up the pointers read, and the next ones
+            # are read
+            (30, 6, "0" * 29, "100100111001001000010001111110"),
         ],
     )
     def test_named_words(self, k, r, message, word):
         data, u = BitSeq(word).tobytes(), BitSeq(message).tobytes()
         assert _wi_encode(u, k, r) == data
         assert _wi_decode(data, k, r) == reference_wi_decode(data, k, r) == u
+
+    def test_read_ahead_run_ending_right_of_the_gap(self):
+        # no encoder output does this: read ahead, a run of pointers in left
+        # ends at one naming a point right of the gap. The word decodes to
+        # 000010000010, which encodes to another word
+        data = BitSeq("0001010010100").tobytes()
+        assert _wi_decode(data, 13, 4) == reference_wi_decode(data, 13, 4)
+
+
+def test_only_long_sparse_words_read_ahead(monkeypatch):
+    # a P(1) = 1/16 word at k = 4000 reads its pointers ahead; uniform words
+    # make a few replacements at most and read one pointer a step
+    sizes = []
+    original = front._read_ahead
+
+    def read_ahead(*args):
+        points = original(*args)
+        sizes.append(len(points))
+        return points
+
+    monkeypatch.setattr(front, "_read_ahead", read_ahead)
+    rng = random.Random(7)
+    sparse = _sparse_message(rng, 3999, 1 / 16)
+    assert _wi_decode(_wi_encode(sparse, 4000, 12), 4000, 12) == sparse
+    # the word makes 320 replacements and reads 320 pointers ahead: 256, then
+    # 32 once those are used, from its first tail, and 32 from its rebuilt one
+    assert sizes and sizes[0] >= front._READ_AHEAD_FROM
+    assert sum(sizes) == 320
+    sizes.clear()
+    for k, r in [(60, 6), (250, 8), (4000, 12)]:
+        for _ in range(20):
+            message = _sparse_message(rng, k - 1, 1 / 2)
+            assert _wi_decode(_wi_encode(message, k, r), k, r) == message
+    assert not any(sizes)
 
 
 class TestUndoScaling:

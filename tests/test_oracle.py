@@ -8,6 +8,7 @@ import pytest
 
 import rllindel.code
 from rllindel import oracle
+from rllindel.analysis import forbidden_parities
 from rllindel.bitseq import BitSeq, is_rll
 from rllindel.channel import Stream, apply_event, log_line, random_event, trial_seed
 from rllindel.code import derive_params, encode_message, raw_params
@@ -72,6 +73,11 @@ class TestEnumerateRll:
         with pytest.raises(ValidationError) as excinfo:
             enumerate_rll(3 * 10**8, 3 * 10**8)
         assert str(excinfo.value) == "exhaustive enumeration is capped at n = 24 (got n=300000000)"
+
+
+class TestForbiddenParities:
+    def test_frozen_count(self):
+        assert len(forbidden_parities(4, 0)) == frozen("forbidden_count_rhat4_last0")
 
 
 class TestEnumerateCodewords:
