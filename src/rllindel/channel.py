@@ -17,6 +17,16 @@ within a register: output i is computed in bits 128i..128i+127 of one big
 int, so each round is a few whole-int operations, and the lanes are then
 compacted to 64 bits each. A draw of W outputs thus costs O(W) big-int work,
 where OR-ing W scalar outputs into a growing int costs O(W^2).
+
+Every channel event, whether from random_event, the corrupt command or a
+campaign trial, comes from one private draw, _draw_event. It steps splitmix64
+on a local int in place of a Stream, rejection-samples the position exactly
+as Stream.below does, and builds the ChannelEvent with tuple.__new__, which
+skips the constructor's checks: each value it holds was drawn in range. So
+its callers check what it takes: random_event checks its arguments and keeps
+its error texts, the corrupt command draws only for a nonempty line of 0s and
+1s, and a campaign trial for its code length. The public ChannelEvent
+constructor still checks every event built from outside.
 """
 from __future__ import annotations
 
@@ -30,6 +40,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_TWO64 = 1 << 64
 # The most lane sets _lanes keeps, one per output count: a campaign and a
 # sampled encoder check each draw one count. One set for a 10^6-bit word
 # (15625 lanes) holds about 0.7 MB.
@@ -95,13 +106,18 @@ class Stream:
         """
         if bound < 1:
             raise ValidationError(f"bound must be positive (got {bound})")
-        if bound > 1 << 64:
-            raise ValidationError(f"bound must be at most 2^64 (got {bound})")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        _check_bound(bound)
+        limit = _TWO64 - _TWO64 % bound
         while True:
             u = self.next()
             if u < limit:
                 return u % bound
+
+
+def _check_bound(bound: int) -> None:
+    """Reject a bound no 64-bit output can be drawn under uniformly."""
+    if bound > _TWO64:
+        raise ValidationError(f"bound must be at most 2^64 (got {bound})")
 
 
 def trial_seed(base_seed: int, index: int) -> int:
@@ -128,10 +144,13 @@ class ChannelEvent(_EventFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (INSERTION, DELETION):
             raise ValidationError(f"unknown event kind {self.kind!r}")
+        # 2.0 equals 2 but cannot index a word: a position or symbol is an integer (bool included)
+        if not hasattr(self.position, "__index__"):
+            raise DataError(f"position must be an integer (got {self.position!r})")
         if self.position < 1:
             raise DataError(f"position must be at least 1 (got {self.position})")
         if self.kind == INSERTION:
-            if self.symbol not in (0, 1):
+            if self.symbol not in (0, 1) or not hasattr(self.symbol, "__index__"):
                 raise DataError(f"insertion symbol must be 0 or 1 (got {self.symbol!r})")
         elif self.symbol is not None:
             raise DataError("deletion events carry no symbol")
@@ -162,20 +181,46 @@ def random_event(length: int, seed: int, kind: str | None = None) -> ChannelEven
     the stream); the position is uniform over the valid range for the kind;
     insertion symbols are uniform over {0, 1}.
     """
+    if not hasattr(length, "__index__"):
+        raise DataError(f"length must be an integer (got {length!r})")
     if length < 1:
         raise DataError(f"length must be at least 1 (got {length})")
-    stream = Stream(seed)
-    if kind is None:
-        kind = DELETION if stream.next() & 1 else INSERTION
-    elif kind not in (INSERTION, DELETION):
+    if not hasattr(seed, "__index__"):
+        raise DataError(f"seed must be an integer (got {seed!r})")
+    if kind is not None and kind not in (INSERTION, DELETION):
         raise ValidationError(f"unknown event kind {kind!r}")
-    if kind == INSERTION:
-        position = 1 + stream.below(length + 1)
-        return ChannelEvent(INSERTION, position, stream.next() & 1)
-    return ChannelEvent(DELETION, 1 + stream.below(length))
+    return _draw_event(length, seed, kind)
+
+
+def _draw_event(length: int, seed: int, kind: str | None) -> ChannelEvent:
+    """random_event without its argument checks: length >= 1, kind INSERTION, DELETION or None.
+
+    The outputs are those of Stream(seed): one for a kind left None, as many
+    as Stream.below rejects and takes for the position, and one for an
+    insertion's symbol.
+    """
+    state = seed & _MASK
+    if kind is None:
+        state = (state + _GOLDEN) & _MASK
+        kind = DELETION if mix64(state) & 1 else INSERTION
+    bound = length + 1 if kind == INSERTION else length
+    _check_bound(bound)
+    limit = _TWO64 - _TWO64 % bound
+    while True:
+        state = (state + _GOLDEN) & _MASK
+        u = mix64(state)
+        if u < limit:
+            break
+    if kind == DELETION:
+        return tuple.__new__(ChannelEvent, (DELETION, 1 + u % bound, None))
+    symbol = mix64(state + _GOLDEN) & 1
+    return tuple.__new__(ChannelEvent, (INSERTION, 1 + u % bound, symbol))
 
 
 def log_line(e: ChannelEvent) -> str:
-    """Event-log form: `kind position symbol`, with `-` for deletion symbols."""
-    symbol = "-" if e.symbol is None else str(e.symbol)
-    return f"{e.kind} {e.position} {symbol}"
+    """Event-log form: `kind position symbol`, with `-` for deletion symbols.
+
+    A bool position or symbol logs as 0 or 1.
+    """
+    symbol = "-" if e.symbol is None else "01"[e.symbol]
+    return f"{e.kind} {e.position:d} {symbol}"

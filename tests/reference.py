@@ -7,8 +7,10 @@ one-bytearray undo loop that front._wi_decode replaces, the
 solve-then-splice parity that code._parity replaces, the symbol-by-symbol
 embedder that code._embed replaces, the enumeration sweep over every
 parity word, modulus and collision value that analysis.gap_condition_check's
-interval arithmetic replaces, and the run statistics the run-limit
-predicates are checked against. The package never imports this
+interval arithmetic replaces, the Stream-driven event draw that
+channel.random_event's lean draw replaces, the parse-apply-format line that
+the corrupt command's text splice replaces, and the run statistics the
+run-limit predicates are checked against. The package never imports this
 module.
 """
 from __future__ import annotations
@@ -18,8 +20,17 @@ from operator import add, mul
 
 from rllindel.analysis import rho
 from rllindel.bitseq import _TO_ASCII, BitSeq, is_rll, le_encode
+from rllindel.channel import (
+    DELETION,
+    INSERTION,
+    ChannelEvent,
+    Stream,
+    apply_event,
+    log_line,
+    trial_seed,
+)
 from rllindel.code import CodeParams, _coefficients, coefficient_value, d_range
-from rllindel.errors import DataError, InvariantError
+from rllindel.errors import DataError, InvariantError, ValidationError
 from rllindel.front import _FORBIDDEN_ONE, omega
 from rllindel.oracle import Report, _words
 
@@ -235,6 +246,40 @@ def reference_gap_condition(r_hat: int) -> Report:
             "collisions": len(collisions),
         },
     )
+
+
+def reference_random_event(length: int, seed: int, kind: str | None = None) -> ChannelEvent:
+    """One event for a word of the given length, drawn through a Stream and a validating ChannelEvent.
+
+    The kind is drawn uniformly unless forced, the position is uniform over
+    the valid range for the kind and an insertion's symbol is uniform over
+    {0, 1}. This is the reference that channel.random_event, which steps
+    splitmix64 on a local state and builds the event unchecked, is tested
+    against.
+    """
+    if length < 1:
+        raise DataError(f"length must be at least 1 (got {length})")
+    stream = Stream(seed)
+    if kind is None:
+        kind = DELETION if stream.next() & 1 else INSERTION
+    elif kind not in (INSERTION, DELETION):
+        raise ValidationError(f"unknown event kind {kind!r}")
+    if kind == INSERTION:
+        position = 1 + stream.below(length + 1)
+        return ChannelEvent(INSERTION, position, stream.next() & 1)
+    return ChannelEvent(DELETION, 1 + stream.below(length))
+
+
+def reference_corrupt_line(text: str, base_seed: int, number: int, kind: str | None) -> tuple[str, str]:
+    """Line number of a corrupt run: (the corrupted line, its event log line).
+
+    The line is parsed into a BitSeq, hit by apply_event and formatted back
+    to text. This is the reference that the corrupt command's transform,
+    which splices the text line itself, is tested against.
+    """
+    s = BitSeq.parse(text)
+    event = reference_random_event(len(s), trial_seed(base_seed, number - 1), kind)
+    return str(apply_event(s, event)), log_line(event)
 
 
 def max_run_length(s: BitSeq) -> int:

@@ -18,6 +18,7 @@ from rllindel.channel import (
     trial_seed,
 )
 from rllindel.errors import DataError, ValidationError
+from reference import reference_random_event
 
 
 class TestStream:
@@ -104,6 +105,28 @@ class TestChannelEvent:
         with pytest.raises(DataError):
             ChannelEvent(DELETION, 1, 0)  # deletions carry no symbol
 
+    # 2.0 and 1.0 compare equal to integers, but apply_event cannot slice with
+    # them; "2" does not compare with 1 at all
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            ((DELETION, 2.0), "position must be an integer (got 2.0)"),
+            ((DELETION, "2"), "position must be an integer (got '2')"),
+            ((INSERTION, 2, 1.0), "insertion symbol must be 0 or 1 (got 1.0)"),
+            ((INSERTION, 2.0, 1), "position must be an integer (got 2.0)"),
+        ],
+    )
+    def test_rejects_a_non_integral_position_or_symbol(self, args, reason):
+        with pytest.raises(DataError) as excinfo:
+            ChannelEvent(*args)
+        assert str(excinfo.value) == reason
+
+    def test_bool_symbol_and_position_log_as_digits(self):
+        assert log_line(ChannelEvent(INSERTION, 3, True)) == "insertion 3 1"
+        assert log_line(ChannelEvent(INSERTION, 3, False)) == "insertion 3 0"
+        assert log_line(ChannelEvent(DELETION, True)) == "deletion 1 -"
+        assert apply_event(BitSeq("00"), ChannelEvent(INSERTION, 2, True)) == BitSeq("010")
+
     def test_apply_insertion(self):
         s = BitSeq("0000")
         assert apply_event(s, ChannelEvent(INSERTION, 1, 1)) == BitSeq("10000")
@@ -153,6 +176,20 @@ class TestRandomEvent:
         with pytest.raises(DataError):
             random_event(0, 7)
 
+    @pytest.mark.parametrize(
+        "length, seed, reason",
+        [
+            (2.5, 1, "length must be an integer (got 2.5)"),
+            (4.0, 1, "length must be an integer (got 4.0)"),
+            (4, 1.5, "seed must be an integer (got 1.5)"),
+            (4, "1", "seed must be an integer (got '1')"),
+        ],
+    )
+    def test_rejects_a_non_integral_length_or_seed(self, length, seed, reason):
+        with pytest.raises(DataError) as excinfo:
+            random_event(length, seed)
+        assert str(excinfo.value) == reason
+
     def test_rejects_unknown_kind_and_empty_range(self):
         with pytest.raises(ValidationError):
             random_event(5, 7, "flip")
@@ -172,3 +209,42 @@ class TestRandomEvent:
             deleted = apply_event(s, ChannelEvent(DELETION, pos))
             restored = apply_event(deleted, ChannelEvent(INSERTION, pos, s[pos - 1]))
             assert restored == s
+
+
+def outcome(draw, *args):
+    """(event type, event fields) of draw(*args), or (error type, error text) if it raises."""
+    try:
+        event = draw(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(event), tuple(event)
+
+
+# a bound just above 2^63 rejects almost half the raw outputs, so the
+# rejection loop runs; at 2^64 an insertion's bound is 2^64 + 1, which no
+# 64-bit output can serve
+lengths = st.one_of(
+    st.integers(min_value=-2, max_value=300),
+    st.sampled_from([2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**63 + 1, 3 * 2**62, 2**64 - 1, 2**64]),
+)
+kinds = st.sampled_from([None, INSERTION, DELETION, "flip"])
+
+
+class TestDrawMatchesReference:
+    @given(lengths, st.integers(min_value=-(2**65), max_value=2**65), kinds)
+    def test_random_event(self, length, seed, kind):
+        assert outcome(random_event, length, seed, kind) == outcome(
+            reference_random_event, length, seed, kind
+        )
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def test_bound_2_64_plus_1(self, seed):
+        reason = f"bound must be at most 2^64 (got {2**64 + 1})"
+        assert outcome(random_event, 2**64, seed, INSERTION) == (ValidationError, reason)
+        assert outcome(reference_random_event, 2**64, seed, INSERTION) == (ValidationError, reason)
+
+    def test_every_length_to_300_on_fixed_seeds(self):
+        for length in range(1, 301):
+            for seed in (0, 1, 2**64 - 1, trial_seed(7, length)):
+                for kind in (None, INSERTION, DELETION):
+                    assert random_event(length, seed, kind) == reference_random_event(length, seed, kind)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, streaming behavior, and exit codes."""
 import argparse
 import errno
+import hashlib
 import io
 import os
 import random
@@ -18,6 +19,9 @@ from hypothesis import strategies as st
 
 from rllindel import BitSeq, cli, encode_message
 from rllindel.analysis import emit_csv, redundancy_row
+from rllindel.channel import DELETION, INSERTION
+from rllindel.errors import DataError
+from reference import reference_corrupt_line
 
 CMD = [sys.executable, "-m", "rllindel"]
 # the codeword of the message 010011000101 at k = 13, r = 4
@@ -147,6 +151,48 @@ class TestCorrupt:
         corrupted = run("corrupt", "--seed", "41", stdin=encoded.stdout)
         decoded = run("decode", "--k", "13", "--r", "4", stdin=corrupted.stdout)
         assert decoded.stdout == message
+
+    # sha256 of stdout, a zero byte and stderr, as the byte-per-symbol
+    # corrupt that parsed each line into a BitSeq wrote them
+    PINNED = {
+        ("random", 3): "572e46250b648f171cdd2e11c1aa2a5e8d2d8efbf289f3f0a30f8679bc5f9115",
+        ("random", 2**64 + 5): "280ddfdf18bd101bd40f55a4269bbe8d8e43da754db02d5fbbd25d006d9b8a8d",
+        ("insert", 3): "b620f6261cdc9102bb64be741329f47416cba5e5733fbda41dca9e99d9032787",
+        ("insert", 2**64 + 5): "a95bf099279bc327072ea5613774a64b643cd7ee719d9d6c61815df0a2501a3f",
+        ("delete", 3): "2a6093ba93be51a606f8fc55ddcb86f8755bc541ade2b31a3be3b61640b56c67",
+        ("delete", 2**64 + 5): "1f609c119bc2f06c1e0d8ea2ddbf6043f570e0840201aaf862e986b38b0695b4",
+    }
+
+    @staticmethod
+    def pinned_stdin() -> bytes:
+        """50 codewords at n = 4015 and 50 at n = 20, with a bad line after every tenth."""
+        g = random.Random(4015)
+        words = [
+            str(encode_message(BitSeq([g.getrandbits(1) for _ in range(k - 1)]), k, r))
+            for k, r in [(4000, 12)] * 50 + [(13, 4)] * 50
+        ]
+        # a lone surrogate reaches the command as the byte 0xff, which
+        # utf-8 cannot decode
+        bad = ["0120", "01é0", "01\x000", "01\x010", "01 10", "01\udcff0", ""] * 2
+        lines = []
+        for i, word in enumerate(words):
+            lines.append(word)
+            if i % 10 == 9:
+                lines.append(bad.pop())
+        text = "".join(line + "\n" for line in lines + bad)
+        return text.encode("utf-8", "surrogateescape")
+
+    @pytest.mark.parametrize("op, seed", sorted(PINNED))
+    def test_output_is_pinned(self, op, seed):
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+        result = subprocess.run(
+            CMD + ["corrupt", "--seed", str(seed), "--op", op], input=self.pinned_stdin(),
+            capture_output=True, timeout=300, env=env,
+        )
+        assert result.returncode == 3
+        assert result.stderr.count(b"\nERROR ") == 14
+        digest = hashlib.sha256(result.stdout + b"\0" + result.stderr).hexdigest()
+        assert digest == self.PINNED[op, seed]
 
 
 class TestVerify:
@@ -652,15 +698,22 @@ def test_bad_parameters_exit_2(args, reason):
     assert result.stdout == ""
 
 
-def _main(argv, stdin):
-    """cli.main in this process on the given stdin text; returns the exit code."""
+def _run_main(argv, stdin: str) -> tuple[int, str, str]:
+    """cli.main in this process on the given stdin text: (exit code, stdout, stderr)."""
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return cli.main(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
     finally:
         sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main(argv, stdin):
+    """cli.main in this process on the given stdin text; returns the exit code."""
+    return _run_main(argv, stdin)[0]
 
 
 flag = st.integers(min_value=-3, max_value=70).map(str)
@@ -688,3 +741,58 @@ def invocations(draw):
 @given(invocations(), lines)
 def test_main_never_raises(argv, stdin):
     assert _main(argv, stdin) in (0, 2, 3)
+
+
+def _corrupt_in_process(seed: int, op: str, stdin: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of the corrupt command run by cli.main in this process."""
+    return _run_main(["corrupt", "--seed", str(seed), "--op", op], stdin)
+
+
+def _reference_corrupt(seed: int, op: str, stdin: str) -> tuple[int, str, str]:
+    """What _corrupt_in_process must return, line by line from reference_corrupt_line."""
+    kind = {"insert": INSERTION, "delete": DELETION, "random": None}[op]
+    code, out, err = 0, [], []
+    for number, raw in enumerate(io.StringIO(stdin), start=1):
+        try:
+            line, log = reference_corrupt_line(raw.strip(), seed, number, kind)
+        except DataError as exc:
+            code = 3
+            err.append(f"ERROR {number} {exc}\n")
+            continue
+        out.append(f"{line}\n")
+        err.append(f"{log}\n")
+    return code, "".join(out), "".join(err)
+
+
+# the characters the pinned corrupt run mixes in, a lone surrogate included;
+# a line break would split the line
+FOREIGN = ["2", "é", "\x00", "\x01", " ", "\udcff"]
+foreign = st.one_of(st.sampled_from(FOREIGN), st.characters(blacklist_characters="01\n\r"))
+words = st.text(alphabet="01", max_size=300)
+
+
+@st.composite
+def foreign_lines(draw):
+    word = draw(words)
+    at = draw(st.integers(min_value=0, max_value=len(word)))
+    return word[:at] + draw(foreign) + word[at:]
+
+
+class TestCorruptMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**65),
+        st.sampled_from(["insert", "delete", "random"]),
+        st.lists(st.one_of(words, foreign_lines()), max_size=8),
+    )
+    def test_lines(self, seed, op, lines):
+        stdin = "".join(f"{line}\n" for line in lines)
+        assert _corrupt_in_process(seed, op, stdin) == _reference_corrupt(seed, op, stdin)
+
+    @pytest.mark.parametrize("op", ["insert", "delete", "random"])
+    def test_a_foreign_character_at_every_position(self, op):
+        lines = [CODEWORD[:at] + c + CODEWORD[at:] for c in FOREIGN for at in range(len(CODEWORD) + 1)]
+        stdin = "".join(f"{line}\n{CODEWORD}\n" for line in lines) + "\n"
+        got = _corrupt_in_process(5, op, stdin)
+        assert got[0] == 3
+        assert got == _reference_corrupt(5, op, stdin)
