@@ -19,14 +19,16 @@ compacted to 64 bits each. A draw of W outputs thus costs O(W) big-int work,
 where OR-ing W scalar outputs into a growing int costs O(W^2).
 
 Every channel event, whether from random_event, the corrupt command or a
-campaign trial, comes from one private draw, _draw_event. It steps splitmix64
-on a local int in place of a Stream, rejection-samples the position exactly
-as Stream.below does, and builds the ChannelEvent with tuple.__new__, which
-skips the constructor's checks: each value it holds was drawn in range. So
-its callers check what it takes: random_event checks its arguments and keeps
-its error texts, the corrupt command draws only for a nonempty line of 0s and
-1s, and a campaign trial for its code length. The public ChannelEvent
-constructor still checks every event built from outside.
+campaign trial, is one call of random_event. It checks its arguments, steps
+splitmix64 on a local int in place of a Stream and builds the ChannelEvent
+with tuple.__new__, which skips the constructor's checks: each value it holds
+was drawn in range. The public ChannelEvent constructor still checks every
+event built from outside.
+
+The module has one rejection sampler, _below, which Stream.below and
+random_event share: it takes and returns the splitmix64 state with the draw.
+tests/test_channel.py checks it on its own against a loop over Stream.next
+written in the test.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .bitseq import BitSeq
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, _require_int
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -73,6 +75,7 @@ class Stream:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
+        _require_int(seed, "seed", DataError)
         self._state = seed & _MASK
 
     def next(self) -> int:
@@ -104,24 +107,34 @@ class Stream:
 
         One raw output has 64 bits, so no larger bound can be drawn uniformly.
         """
+        _require_int(bound, "bound", ValidationError)
         if bound < 1:
             raise ValidationError(f"bound must be positive (got {bound})")
-        _check_bound(bound)
-        limit = _TWO64 - _TWO64 % bound
-        while True:
-            u = self.next()
-            if u < limit:
-                return u % bound
+        self._state, value = _below(self._state, bound)
+        return value
 
 
-def _check_bound(bound: int) -> None:
-    """Reject a bound no 64-bit output can be drawn under uniformly."""
+def _below(state: int, bound: int) -> tuple[int, int]:
+    """(state after the draw, a uniform draw from [0, bound)) from the splitmix64 state, bound >= 1.
+
+    Takes outputs until one lies below limit, the largest multiple of bound
+    that is at most 2^64; a bound above 2^64 has no such multiple and is
+    rejected.
+    """
     if bound > _TWO64:
         raise ValidationError(f"bound must be at most 2^64 (got {bound})")
+    limit = _TWO64 - _TWO64 % bound
+    while True:
+        state = (state + _GOLDEN) & _MASK
+        u = mix64(state)
+        if u < limit:
+            return state, u % bound
 
 
 def trial_seed(base_seed: int, index: int) -> int:
     """Per-trial seed: the (index+1)-th output of the stream seeded with base_seed."""
+    _require_int(base_seed, "seed", DataError)
+    _require_int(index, "trial index", DataError)
     if index < 0:
         raise DataError(f"trial index must be non-negative (got {index})")
     return mix64((base_seed + (index + 1) * _GOLDEN) & _MASK)
@@ -144,9 +157,7 @@ class ChannelEvent(_EventFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.kind not in (INSERTION, DELETION):
             raise ValidationError(f"unknown event kind {self.kind!r}")
-        # 2.0 equals 2 but cannot index a word: a position or symbol is an integer (bool included)
-        if not hasattr(self.position, "__index__"):
-            raise DataError(f"position must be an integer (got {self.position!r})")
+        _require_int(self.position, "position", DataError)
         if self.position < 1:
             raise DataError(f"position must be at least 1 (got {self.position})")
         if self.kind == INSERTION:
@@ -179,42 +190,25 @@ def random_event(length: int, seed: int, kind: str | None = None) -> ChannelEven
     The kind is drawn uniformly unless forced by the `kind` argument (in which
     case the kind draw is skipped and only position/symbol are consumed from
     the stream); the position is uniform over the valid range for the kind;
-    insertion symbols are uniform over {0, 1}.
+    insertion symbols are uniform over {0, 1}. The outputs are those of
+    Stream(seed): one for a kind left None, as many as _below takes for the
+    position, and one for an insertion's symbol.
     """
-    if not hasattr(length, "__index__"):
-        raise DataError(f"length must be an integer (got {length!r})")
+    _require_int(length, "length", DataError)
     if length < 1:
         raise DataError(f"length must be at least 1 (got {length})")
-    if not hasattr(seed, "__index__"):
-        raise DataError(f"seed must be an integer (got {seed!r})")
+    _require_int(seed, "seed", DataError)
     if kind is not None and kind not in (INSERTION, DELETION):
         raise ValidationError(f"unknown event kind {kind!r}")
-    return _draw_event(length, seed, kind)
-
-
-def _draw_event(length: int, seed: int, kind: str | None) -> ChannelEvent:
-    """random_event without its argument checks: length >= 1, kind INSERTION, DELETION or None.
-
-    The outputs are those of Stream(seed): one for a kind left None, as many
-    as Stream.below rejects and takes for the position, and one for an
-    insertion's symbol.
-    """
     state = seed & _MASK
     if kind is None:
         state = (state + _GOLDEN) & _MASK
         kind = DELETION if mix64(state) & 1 else INSERTION
-    bound = length + 1 if kind == INSERTION else length
-    _check_bound(bound)
-    limit = _TWO64 - _TWO64 % bound
-    while True:
-        state = (state + _GOLDEN) & _MASK
-        u = mix64(state)
-        if u < limit:
-            break
     if kind == DELETION:
-        return tuple.__new__(ChannelEvent, (DELETION, 1 + u % bound, None))
-    symbol = mix64(state + _GOLDEN) & 1
-    return tuple.__new__(ChannelEvent, (INSERTION, 1 + u % bound, symbol))
+        state, i = _below(state, length)
+        return tuple.__new__(ChannelEvent, (DELETION, 1 + i, None))
+    state, i = _below(state, length + 1)
+    return tuple.__new__(ChannelEvent, (INSERTION, 1 + i, mix64(state + _GOLDEN) & 1))
 
 
 def log_line(e: ChannelEvent) -> str:

@@ -152,18 +152,16 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    from .channel import DELETION, INSERTION, _draw_event, log_line, random_event, trial_seed
+    from .channel import DELETION, INSERTION, log_line, random_event, trial_seed
 
     kind = {"insert": INSERTION, "delete": DELETION, "random": None}[args.op]
 
     def transform(number: int, text: str) -> tuple[str, str]:
-        seed = trial_seed(args.seed, number - 1)
         # isascii reads a flag the str keeps; a line of 0s and 1s alone is left empty by translate
-        if text and text.isascii() and not text.encode().translate(None, b"01"):
-            event = _draw_event(len(text), seed, kind)
-        else:
-            # BitSeq.parse names the first foreign character and random_event rejects the null word
-            event = random_event(len(BitSeq.parse(text)), seed, kind)
+        if not text.isascii() or text.encode().translate(None, b"01"):
+            BitSeq.parse(text)  # raises the DataError that names the first foreign character
+        # random_event rejects the null word
+        event = random_event(len(text), trial_seed(args.seed, number - 1), kind)
         i = event.position - 1
         if event.kind == INSERTION:
             return text[:i] + "01"[event.symbol] + text[i:], log_line(event)

@@ -67,7 +67,7 @@ from functools import lru_cache
 from itertools import compress
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_over, _run_patterns
-from .errors import DataError, InvariantError, ValidationError
+from .errors import DataError, InvariantError, ValidationError, _require_int
 from .front import _message, _nrzi_encode, _nrzi_packed, _wi_encode
 
 # The word length from which _sliced_sum, with the word's packing counted,
@@ -155,6 +155,9 @@ def derive_params(k: int, r: int, d: int | None = None, b: int | None = None) ->
     front end's decoder confirms its parse by re-encoding, 2^r + r - 6 and
     2^r + r - 5, only (k, r) = (14, 4) is reached, with d = 6 or 7.
     """
+    for name, value in (("k", k), ("r", r), ("d", d), ("b", b)):
+        if value is not None:
+            _require_int(value, name, ValidationError)
     if k < 7:
         raise ValidationError(f"message-part length must be at least 7 (got k={k})")
     r_hat = (k + 1).bit_length()
@@ -181,6 +184,8 @@ def raw_params(n: int, r_hat: int, d: int, b: int = 0) -> CodeParams:
     the modulus are meaningful; k = n - r_hat - 3 and r = r_hat merely fill
     the bundle.
     """
+    for name, value in (("n", n), ("r_hat", r_hat), ("d", d), ("b", b)):
+        _require_int(value, name, ValidationError)
     if n < 1:
         raise ValidationError(f"code length must be positive (got n={n})")
     _check_r_hat(r_hat)

@@ -168,7 +168,7 @@ from itertools import islice
 from struct import unpack_from
 
 from .bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_over
-from .errors import DataError, InvariantError, ValidationError
+from .errors import DataError, InvariantError, ValidationError, _require_int
 
 _FORBIDDEN_ONE = b"\x01"
 
@@ -201,6 +201,8 @@ class FrontParams(_FrontFields):
 
     def __new__(cls, *args, **kwargs) -> "FrontParams":
         self = super().__new__(cls, *args, **kwargs)
+        _require_int(self.k, "k", ValidationError)
+        _require_int(self.r, "r", ValidationError)
         if self.r < 3:
             raise ValidationError(f"run limit must be at least 3 (got r={self.r})")
         if self.k < 2:

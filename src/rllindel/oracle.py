@@ -43,7 +43,7 @@ import threading
 from itertools import product
 
 from .bitseq import BitSeq, _run_patterns, is_rll, is_zero_constrained, le_encode
-from .channel import ChannelEvent, Stream, _draw_event, apply_event, log_line, trial_seed
+from .channel import ChannelEvent, Stream, apply_event, log_line, random_event, trial_seed
 from .code import (
     _EXCLUDED_TRIPLE,
     CodeParams,
@@ -380,7 +380,7 @@ def _trial(cp: CodeParams, base_seed: int, index: int) -> tuple[BitSeq, ChannelE
     """Trial index: (its message, its channel event, whether the message decoded back)."""
     stream = Stream(trial_seed(base_seed, index))
     u = _random_word(stream, cp.k - 1)
-    event = _draw_event(cp.n, stream.next(), None)
+    event = random_event(cp.n, stream.next())
     received = apply_event(encode_message(u, cp.k, cp.r, cp.d, cp.b), event)
     try:
         ok = decode_message(cp, received) == u

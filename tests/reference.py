@@ -255,7 +255,8 @@ def reference_random_event(length: int, seed: int, kind: str | None = None) -> C
     the valid range for the kind and an insertion's symbol is uniform over
     {0, 1}. This is the reference that channel.random_event, which steps
     splitmix64 on a local state and builds the event unchecked, is tested
-    against.
+    against. Its Stream.below and random_event share one rejection sampler,
+    so test_channel.py checks Stream.below on its own against Stream.next.
     """
     if length < 1:
         raise DataError(f"length must be at least 1 (got {length})")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rllindel import channel
 from rllindel.bitseq import BitSeq
 from rllindel.channel import (
     DELETION,
@@ -19,6 +20,22 @@ from rllindel.channel import (
 )
 from rllindel.errors import DataError, ValidationError
 from reference import reference_random_event
+
+MASK = 2**64 - 1
+
+
+def seed_at(u: int) -> int:
+    """The seed whose first splitmix64 output is u: the state mix64 maps to u, less one gamma.
+
+    Undoes mix64's steps in reverse: x ^= x >> s by xoring in every multiple
+    of s below 64, and each multiply by its inverse mod 2^64.
+    """
+    x = u ^ (u >> 31) ^ (u >> 62)
+    x = x * pow(0x94D049BB133111EB, -1, 2**64) & MASK
+    x ^= (x >> 27) ^ (x >> 54)
+    x = x * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK
+    x ^= (x >> 30) ^ (x >> 60)
+    return (x - 0x9E3779B97F4A7C15) & MASK
 
 
 class TestStream:
@@ -45,14 +62,14 @@ class TestStream:
         # no 64-bit draw fits under the rejection limit of such a bound, so a
         # below that took it would draw for ever; count the draws to end it
         draws = []
-        draw = Stream.next
+        draw = channel.mix64
 
-        def counted(stream):
+        def counted(x):
             assert len(draws) < 1000, "below kept drawing"
             draws.append(None)
-            return draw(stream)
+            return draw(x)
 
-        monkeypatch.setattr(Stream, "next", counted)
+        monkeypatch.setattr(channel, "mix64", counted)
         for bound in (2**64 + 1, 2**65, 3 * 2**64):
             with pytest.raises(ValidationError) as excinfo:
                 Stream(1).below(bound)
@@ -60,6 +77,28 @@ class TestStream:
         with pytest.raises(ValidationError):
             random_event(2**64, 1, INSERTION)
         assert draws == []
+
+    # the rejection loop is written out here: Stream.below and random_event
+    # share one sampler, so the reference draw cannot check it. The first
+    # output of seed_at(u) is u; at u = limit below must reject and draw
+    # again, at limit - 1 take it. Bounds 3 * 2^62 and 2^63 + 1 reject
+    # about a quarter and a half of all outputs, 2^64 - 1 and 3 only 2^64 - 1
+    @pytest.mark.parametrize(
+        "bound", [1, 2, 3, 21, 1000, 2**32 + 1, 3 * 2**62, 2**63 + 1, 2**64 - 1, 2**64]
+    )
+    def test_below_is_rejection_sampling_over_next(self, bound):
+        limit = 2**64 - 2**64 % bound
+        firsts = [limit - 1, limit % 2**64, 2**64 - 1, 2**63, 1]
+        for u in firsts:
+            assert Stream(seed_at(u)).next() == u
+        for seed in [0, 1, 2**64 - 1, 12345] + [seed_at(u) for u in firsts]:
+            raw = Stream(seed)
+            u = raw.next()
+            while u >= limit:
+                u = raw.next()
+            s = Stream(seed)
+            assert s.below(bound) == u % bound
+            assert s.next() == raw.next()
 
     def test_below_2_64_is_the_raw_output(self):
         for seed in (0, 1, 2**64 - 1):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rllindel.bitseq import _FROM_ASCII, _TO_ASCII, BitSeq, _run_over, _run_patterns, is_rll
+from rllindel.channel import Stream, trial_seed
 from rllindel.code import (
     _SLICED_FROM,
     CodeParams,
@@ -102,6 +103,42 @@ class TestDeriveParams:
         assert params_text(derive_params(**EXAMPLE_CP)) == (
             "k=14\nr_hat=4\nr=4\nd=6\nb=31\nm=7\nn=21\nmodulus=32\nd_min=5\nd_max=7\n"
         )
+
+
+# a non-integral argument gets the class its out-of-range value gets:
+# ValidationError for a size or shape, DataError for a seed or an index
+@pytest.mark.parametrize(
+    "call, args, error, reason",
+    [
+        (derive_params, (60, 6.0), ValidationError, "r must be an integer (got 6.0)"),
+        (derive_params, (60, 6, None, 1.5), ValidationError, "b must be an integer (got 1.5)"),
+        (derive_params, (7.0, 4), ValidationError, "k must be an integer (got 7.0)"),
+        (derive_params, ("60", 6), ValidationError, "k must be an integer (got '60')"),
+        (derive_params, (60, 6, 31.0), ValidationError, "d must be an integer (got 31.0)"),
+        (raw_params, (14.0, 4, 6), ValidationError, "n must be an integer (got 14.0)"),
+        (raw_params, (14, 4.0, 6), ValidationError, "r_hat must be an integer (got 4.0)"),
+        (raw_params, (14, 4, 6.0), ValidationError, "d must be an integer (got 6.0)"),
+        (raw_params, (14, 4, 6, 0.0), ValidationError, "b must be an integer (got 0.0)"),
+        (FrontParams, (5.0, 3), ValidationError, "k must be an integer (got 5.0)"),
+        (FrontParams, (5, 3.0), ValidationError, "r must be an integer (got 3.0)"),
+        (lambda bound: Stream(1).below(bound), (2.5,), ValidationError, "bound must be an integer (got 2.5)"),
+        (Stream, (1.5,), DataError, "seed must be an integer (got 1.5)"),
+        (trial_seed, (1.5, 0), DataError, "seed must be an integer (got 1.5)"),
+        (trial_seed, (1, 0.0), DataError, "trial index must be an integer (got 0.0)"),
+    ],
+)
+def test_a_non_integral_argument_is_rejected(call, args, error, reason):
+    with pytest.raises(error) as excinfo:
+        call(*args)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == reason
+
+
+def test_a_bool_is_an_integral_argument():
+    assert raw_params(14, 4, 6, False) == raw_params(14, 4, 6, 0)
+    assert derive_params(60, 6, None, True).b == 1
+    assert Stream(True).below(True) == 0
+    assert trial_seed(True, False) == trial_seed(1, 0)
 
 
 class TestCoefficients:

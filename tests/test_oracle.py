@@ -213,6 +213,11 @@ class TestEncoderRll:
         assert not report.passed
         assert report.stats["violations"] > 0
         assert "FAIL" in report.lines()[0]
+        # the (y, b) pairs Stream.below and next_packed draw, pinned by their report
+        assert report.render() == (
+            "CHECK encoder-rll k=14 r=4 d=5 FAIL y=10001100110100 b=20 fallback-parity-run\n"
+            "check=encoder-rll k=14 r=4 d=5 result=fail mode=sampled encodes=3000 violations=95\n"
+        )
 
     def test_invalid_params_still_rejected(self):
         with pytest.raises(ValidationError):
